@@ -69,6 +69,54 @@ BM_SampleMapping(benchmark::State &state)
 }
 BENCHMARK(BM_SampleMapping);
 
+/** The allocation-free draw the batched random search makes: flat
+ *  decision rows into a reused buffer, no Mapping. */
+void
+BM_SampleInto(benchmark::State &state)
+{
+    const MappingConstraints cons =
+        MappingConstraints::eyerissRowStationary(resnetLayer(),
+                                                 eyeriss());
+    const Mapspace space(cons, MapspaceVariant::RubyS);
+    Rng rng(1);
+    Decisions decisions;
+    DivisorMemo memo;
+    for (auto _ : state) {
+        space.sampleInto(rng, decisions, memo);
+        benchmark::DoNotOptimize(decisions.steady.data());
+        benchmark::ClobberMemory();
+    }
+}
+BENCHMARK(BM_SampleInto);
+
+/** The random search's whole candidate-generation stage per batch:
+ *  draw kDefaultEvalBatch rows and ingest them flat (items = draws). */
+void
+BM_SampleIngestBatch(benchmark::State &state)
+{
+    const MappingConstraints cons =
+        MappingConstraints::eyerissRowStationary(resnetLayer(),
+                                                 eyeriss());
+    const Mapspace space(cons, MapspaceVariant::RubyS);
+    const Evaluator eval(resnetLayer(), eyeriss());
+    BatchEvaluator batch(eval);
+    Rng rng(1);
+    std::vector<Decisions> drawn(kDefaultEvalBatch);
+    DivisorMemo memo;
+    for (auto _ : state) {
+        batch.begin(kDefaultEvalBatch);
+        for (Decisions &d : drawn) {
+            space.sampleInto(rng, d, memo);
+            batch.add(d);
+        }
+        benchmark::DoNotOptimize(batch.size());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(static_cast<std::int64_t>(
+        state.iterations() * kDefaultEvalBatch));
+}
+BENCHMARK(BM_SampleIngestBatch);
+
 void
 BM_EvaluateMapping(benchmark::State &state)
 {

@@ -1,0 +1,55 @@
+/**
+ * @file
+ * One mapping's decisions as flat rows: the form the sampler writes
+ * and the batch evaluator ingests, with no nested tables and no
+ * derived data (tails, body counts, extents). A Mapping is built from
+ * it only for the candidates that need one (Mapspace::materialize).
+ *
+ * Every row is a flat buffer indexed by a shape/stride tuple, so a
+ * Decisions reused across draws keeps its capacity and a draw
+ * performs no heap allocation once the rows have grown.
+ */
+
+#ifndef RUBY_MAPPING_DECISIONS_HPP
+#define RUBY_MAPPING_DECISIONS_HPP
+
+#include <cstdint>
+#include <vector>
+
+#include "ruby/workload/problem.hpp"
+
+namespace ruby
+{
+
+/** Mesh axis a spatial factor occupies (PE arrays are X x Y grids). */
+enum class SpatialAxis : char
+{
+    X = 0,
+    Y = 1,
+};
+
+/**
+ * The decisions of one mapping of a problem with nd dimensions onto
+ * an architecture with nl levels and ns = 2 * nl tiling slots.
+ */
+struct Decisions
+{
+    /** Steady bound of dimension d at slot k: [d * ns + k]. */
+    std::vector<std::uint64_t> steady;
+    /** Level l's temporal loop order, outermost first: [l * nd + i]. */
+    std::vector<DimId> perms;
+    /** Tensor t resides at level l: [l * nt + t]. */
+    std::vector<char> keep;
+    /** Mesh axis of dimension d's spatial factor at level l:
+     *  [l * nd + d]. */
+    std::vector<SpatialAxis> axes;
+    /** keep packed: bit l * nt + t; zero when nl * nt > 64. */
+    std::uint64_t keepMask = 0;
+    /** axes packed: bit l * nd + d is set iff the axis is Y; zero when
+     *  nl * nd > 64. */
+    std::uint64_t axisYMask = 0;
+};
+
+} // namespace ruby
+
+#endif // RUBY_MAPPING_DECISIONS_HPP

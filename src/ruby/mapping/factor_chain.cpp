@@ -1,36 +1,21 @@
 #include "ruby/mapping/factor_chain.hpp"
 
 #include "ruby/common/error.hpp"
-#include "ruby/common/math_util.hpp"
 
 namespace ruby
 {
 
 FactorChain::FactorChain(std::uint64_t dim,
-                         std::vector<std::uint64_t> steady)
-    : dim_(dim)
+                         std::span<const std::uint64_t> steady)
+    : dim_(dim), factors_(steady.size()), bodies_(steady.size() + 1),
+      extents_(steady.size() + 1)
 {
     RUBY_ASSERT(dim >= 1, "dimension must be >= 1");
-    const auto tails = deriveTails(dim, steady);
-    factors_.resize(steady.size());
-    for (std::size_t k = 0; k < steady.size(); ++k)
-        factors_[k] = FactorPair{steady[k], tails[k]};
-
-    const auto bodies = bodyCounts(steady, tails);
-    bodies_.reserve(bodies.size() + 1);
-    bodies_.assign(bodies.begin(), bodies.end());
-    bodies_.push_back(1);
-    RUBY_ASSERT(bodies_.front() == dim,
-                "ragged body count must equal the dimension");
-
-    extents_.resize(steady.size() + 1);
-    extents_[0] = 1;
-    for (std::size_t k = 0; k < steady.size(); ++k)
-        extents_[k + 1] = extents_[k] * steady[k];
+    assign(steady);
 }
 
 void
-FactorChain::assign(const std::vector<std::uint64_t> &steady)
+FactorChain::assign(std::span<const std::uint64_t> steady)
 {
     RUBY_ASSERT(steady.size() == factors_.size(),
                 "assign must preserve the slot count");

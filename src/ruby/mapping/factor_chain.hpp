@@ -20,6 +20,7 @@
 #define RUBY_MAPPING_FACTOR_CHAIN_HPP
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ruby/workload/problem.hpp"
@@ -76,7 +77,13 @@ class FactorChain
      * Build a chain for a dimension of size @p dim from per-slot
      * steady bounds (prod(steady) must be >= dim; every bound >= 1).
      */
-    FactorChain(std::uint64_t dim, std::vector<std::uint64_t> steady);
+    FactorChain(std::uint64_t dim, std::span<const std::uint64_t> steady);
+
+    /** Braced-list and vector form of the constructor above. */
+    FactorChain(std::uint64_t dim, const std::vector<std::uint64_t> &steady)
+        : FactorChain(dim, std::span<const std::uint64_t>(steady))
+    {
+    }
 
     /**
      * Replace the steady bounds in place (same dimension, same slot
@@ -85,7 +92,7 @@ class FactorChain
      * the heap — the incremental evaluator re-tiles candidate
      * mappings through this on its hot path.
      */
-    void assign(const std::vector<std::uint64_t> &steady);
+    void assign(std::span<const std::uint64_t> steady);
 
     /** Dimension size covered by the chain. */
     std::uint64_t dim() const { return dim_; }

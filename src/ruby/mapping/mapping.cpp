@@ -1,6 +1,7 @@
 #include "ruby/mapping/mapping.hpp"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 
 #include "ruby/common/error.hpp"
@@ -34,16 +35,6 @@ Mapping::Mapping(const Problem &problem, const ArchSpec &arch,
 
     RUBY_CHECK(static_cast<int>(perms_.size()) == nl,
                "mapping needs one permutation per level");
-    for (int l = 0; l < nl; ++l) {
-        auto sorted = perms_[static_cast<std::size_t>(l)];
-        std::sort(sorted.begin(), sorted.end());
-        bool ok = static_cast<int>(sorted.size()) == nd;
-        for (DimId d = 0; ok && d < nd; ++d)
-            ok = sorted[static_cast<std::size_t>(d)] == d;
-        RUBY_CHECK(ok, "level ", arch.level(l).name,
-                   ": permutation must cover every dimension once");
-    }
-
     RUBY_CHECK(static_cast<int>(keep_.size()) == nl,
                "mapping needs keep flags per level");
     for (int l = 0; l < nl; ++l) {
@@ -51,12 +42,6 @@ Mapping::Mapping(const Problem &problem, const ArchSpec &arch,
                                         .size()) == nt,
                    "level ", arch.level(l).name,
                    ": keep flags must cover every tensor");
-    }
-    for (int t = 0; t < nt; ++t) {
-        RUBY_CHECK(keep_.front()[static_cast<std::size_t>(t)],
-                   "innermost level must keep every tensor");
-        RUBY_CHECK(keep_.back()[static_cast<std::size_t>(t)],
-                   "outermost level must keep every tensor");
     }
 
     if (!axes_.empty()) {
@@ -69,15 +54,77 @@ Mapping::Mapping(const Problem &problem, const ArchSpec &arch,
                        "spatial axes must cover every dimension");
     }
 
-    packMasks();
+    checkAndPack();
+}
+
+Mapping::Mapping(const Problem &problem, const ArchSpec &arch,
+                 const Decisions &decisions)
+    : problem_(&problem), arch_(&arch)
+{
+    const std::size_t nd = static_cast<std::size_t>(problem.numDims());
+    const std::size_t nl = static_cast<std::size_t>(arch.numLevels());
+    const std::size_t nt =
+        static_cast<std::size_t>(problem.numTensors());
+    const std::size_t slots = 2 * nl;
+    RUBY_CHECK(decisions.steady.size() == nd * slots &&
+                   decisions.perms.size() == nl * nd &&
+                   decisions.keep.size() == nl * nt &&
+                   (decisions.axes.empty() ||
+                    decisions.axes.size() == nl * nd),
+               "decision rows do not match the problem and "
+               "architecture shape");
+
+    const std::span<const std::uint64_t> steady(decisions.steady);
+    chains_.reserve(nd);
+    for (std::size_t d = 0; d < nd; ++d)
+        chains_.emplace_back(problem.dimSize(static_cast<DimId>(d)),
+                             steady.subspan(d * slots, slots));
+    perms_.resize(nl);
+    keep_.resize(nl);
+    if (!decisions.axes.empty())
+        axes_.resize(nl);
+    for (std::size_t l = 0; l < nl; ++l) {
+        const DimId *perm = decisions.perms.data() + l * nd;
+        perms_[l].assign(perm, perm + nd);
+        const char *krow = decisions.keep.data() + l * nt;
+        keep_[l].assign(krow, krow + nt);
+        if (!decisions.axes.empty()) {
+            const SpatialAxis *arow = decisions.axes.data() + l * nd;
+            axes_[l].assign(arow, arow + nd);
+        }
+    }
+
+    checkAndPack();
 }
 
 void
-Mapping::packMasks()
+Mapping::checkAndPack()
 {
     const int nd = problem_->numDims();
     const int nl = arch_->numLevels();
     const int nt = problem_->numTensors();
+
+    std::vector<char> seen(static_cast<std::size_t>(nd));
+    for (int l = 0; l < nl; ++l) {
+        const auto &perm = perms_[static_cast<std::size_t>(l)];
+        bool ok = static_cast<int>(perm.size()) == nd;
+        std::fill(seen.begin(), seen.end(), 0);
+        for (std::size_t i = 0; ok && i < perm.size(); ++i) {
+            const DimId d = perm[i];
+            ok = d >= 0 && d < nd && !seen[static_cast<std::size_t>(d)];
+            if (ok)
+                seen[static_cast<std::size_t>(d)] = 1;
+        }
+        RUBY_CHECK(ok, "level ", arch_->level(l).name,
+                   ": permutation must cover every dimension once");
+    }
+    for (int t = 0; t < nt; ++t) {
+        RUBY_CHECK(keep_.front()[static_cast<std::size_t>(t)],
+                   "innermost level must keep every tensor");
+        RUBY_CHECK(keep_.back()[static_cast<std::size_t>(t)],
+                   "outermost level must keep every tensor");
+    }
+
     keepMask_ = 0;
     axisYMask_ = 0;
     if (nl * nt <= 64)

@@ -14,18 +14,12 @@
 #include <vector>
 
 #include "ruby/arch/arch_spec.hpp"
+#include "ruby/mapping/decisions.hpp"
 #include "ruby/mapping/factor_chain.hpp"
 #include "ruby/workload/problem.hpp"
 
 namespace ruby
 {
-
-/** Mesh axis a spatial factor occupies (PE arrays are X x Y grids). */
-enum class SpatialAxis : char
-{
-    X = 0,
-    Y = 1,
-};
 
 /**
  * A complete mapping of @c Problem onto @c ArchSpec.
@@ -61,6 +55,14 @@ class Mapping
             std::vector<std::vector<DimId>> perms,
             std::vector<std::vector<char>> keep,
             std::vector<std::vector<SpatialAxis>> axes = {});
+
+    /**
+     * A mapping from flat decision rows (see Decisions). The packed
+     * masks are recomputed, not trusted; @p decisions.axes may be
+     * empty (all X).
+     */
+    Mapping(const Problem &problem, const ArchSpec &arch,
+            const Decisions &decisions);
 
     /** The mapped problem. */
     const Problem &problem() const { return *problem_; }
@@ -185,8 +187,12 @@ class Mapping
     std::string toString() const;
 
   private:
-    /** Recompute keepMask_ / axisYMask_ from the nested tables. */
-    void packMasks();
+    /**
+     * Check the invariants both constructors share (permutations
+     * cover every dimension, boundary levels keep every tensor), then
+     * pack keepMask_ / axisYMask_ from the nested tables.
+     */
+    void checkAndPack();
 
     const Problem *problem_;
     const ArchSpec *arch_;

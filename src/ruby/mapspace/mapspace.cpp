@@ -68,33 +68,66 @@ Mapspace::slotImperfect(int slot) const
                                : imperfectTemporal(variant_);
 }
 
+const std::vector<std::uint64_t> &
+DivisorMemo::divisorsOf(std::uint64_t n)
+{
+    auto it = table_.find(n);
+    if (it == table_.end()) {
+        if (table_.size() >= kMaxEntries)
+            table_.clear();
+        it = table_.emplace(n, divisors(n)).first;
+    }
+    return it->second;
+}
+
 Mapping
 Mapspace::sample(Rng &rng) const
 {
+    // One memo and one set of rows per thread, reused by every draw
+    // of every mapspace: sample() allocates only the Mapping itself.
+    thread_local DivisorMemo memo;
+    thread_local Decisions decisions;
+    sampleInto(rng, decisions, memo);
+    return materialize(decisions);
+}
+
+Mapping
+Mapspace::materialize(const Decisions &decisions) const
+{
+    return Mapping(problem(), arch(), decisions);
+}
+
+void
+Mapspace::sampleInto(Rng &rng, Decisions &out, DivisorMemo &memo) const
+{
     const Problem &prob = problem();
     const ArchSpec &arch_spec = arch();
-    const int nd = prob.numDims();
+    const std::size_t nd = static_cast<std::size_t>(prob.numDims());
     const int nl = arch_spec.numLevels();
     const int nt = prob.numTensors();
     const int slots = 2 * nl;
+    // The packed masks exist only where they fit one word (the batch
+    // engine's supports() limit), as for Mapping::keepMask().
+    const bool packKeep = nl * nt <= 64;
+    const bool packAxes = static_cast<std::size_t>(nl) * nd <= 64;
 
-    std::vector<std::vector<std::uint64_t>> steady(
-        static_cast<std::size_t>(nd),
-        std::vector<std::uint64_t>(static_cast<std::size_t>(slots), 1));
-    std::vector<std::uint64_t> remaining(
-        static_cast<std::size_t>(nd));
-    for (DimId d = 0; d < nd; ++d)
-        remaining[static_cast<std::size_t>(d)] = prob.dimSize(d);
+    out.steady.assign(nd * static_cast<std::size_t>(slots), 1);
+    out.axes.assign(static_cast<std::size_t>(nl) * nd, SpatialAxis::X);
+    out.perms.resize(static_cast<std::size_t>(nl) * nd);
+    out.keep.resize(static_cast<std::size_t>(nl * nt));
+    out.keepMask = 0;
+    out.axisYMask = 0;
+
+    auto &remaining = memo.remaining_;
+    remaining.resize(nd);
+    for (std::size_t d = 0; d < nd; ++d)
+        remaining[d] = prob.dimSize(static_cast<DimId>(d));
 
     // Visit dimensions in random order per slot so no dimension is
     // systematically favoured for the shared spatial budget.
-    std::vector<DimId> order(static_cast<std::size_t>(nd));
+    auto &order = memo.order_;
+    order.resize(nd);
     std::iota(order.begin(), order.end(), 0);
-
-    std::vector<std::vector<SpatialAxis>> axes(
-        static_cast<std::size_t>(nl),
-        std::vector<SpatialAxis>(static_cast<std::size_t>(nd),
-                                 SpatialAxis::X));
 
     for (int k = 0; k < slots; ++k) {
         const bool spatial = isSpatialSlot(k);
@@ -112,7 +145,11 @@ Mapspace::sample(Rng &rng) const
 
         for (DimId d : order) {
             auto &m = remaining[static_cast<std::size_t>(d)];
+            const std::size_t axis_at =
+                static_cast<std::size_t>(level) * nd +
+                static_cast<std::size_t>(d);
             std::uint64_t cap = 0; // unbounded (temporal)
+            SpatialAxis axis = SpatialAxis::X;
             if (spatial) {
                 // Pick the mesh axis: among the axes this dimension
                 // may occupy, prefer ones with remaining room.
@@ -122,14 +159,14 @@ Mapspace::sample(Rng &rng) const
                     level, d, SpatialAxis::Y);
                 const std::uint64_t cap_x = may_x ? budget_x : 0;
                 const std::uint64_t cap_y = may_y ? budget_y : 0;
-                SpatialAxis axis = SpatialAxis::X;
                 if (cap_x > 1 && cap_y > 1)
                     axis = rng.below(2) == 0 ? SpatialAxis::X
                                              : SpatialAxis::Y;
                 else if (cap_y > cap_x)
                     axis = SpatialAxis::Y;
-                axes[static_cast<std::size_t>(level)]
-                    [static_cast<std::size_t>(d)] = axis;
+                out.axes[axis_at] = axis;
+                if (axis == SpatialAxis::Y && packAxes)
+                    out.axisYMask |= std::uint64_t{1} << axis_at;
                 cap = std::max<std::uint64_t>(
                     axis == SpatialAxis::X ? cap_x : cap_y, 1);
             }
@@ -138,7 +175,9 @@ Mapspace::sample(Rng &rng) const
                 // The outermost temporal slot absorbs the residual.
                 choice = m;
             } else if (cap == 1 || m == 1) {
-                choice = 1;
+                // Factor 1, the row's initial value: m and the budgets
+                // stay as they are. Most (dim, slot) pairs end here.
+                continue;
             } else if (imperfect) {
                 // Mixture proposal over the imperfect range: divisors
                 // (the PFM sub-space), the full cap (the maximum-
@@ -148,10 +187,10 @@ Mapspace::sample(Rng &rng) const
                     cap == 0 ? m : cap, m);
                 switch (rng.below(3)) {
                   case 0: {
-                    const auto divs = divisors(m);
-                    std::size_t usable = 0;
-                    while (usable < divs.size() && divs[usable] <= hi)
-                        ++usable;
+                    const auto &divs = memo.divisorsOf(m);
+                    const auto usable = static_cast<std::size_t>(
+                        std::upper_bound(divs.begin(), divs.end(), hi) -
+                        divs.begin());
                     choice = divs[rng.below(usable)];
                     break;
                   }
@@ -163,24 +202,21 @@ Mapspace::sample(Rng &rng) const
                 }
             } else {
                 // Perfect slot: uniform over divisors of m within cap.
-                const auto divs = divisors(m);
-                std::size_t usable = divs.size();
-                if (cap != 0) {
-                    usable = 0;
-                    while (usable < divs.size() && divs[usable] <= cap)
-                        ++usable;
-                }
+                const auto &divs = memo.divisorsOf(m);
+                const auto usable = static_cast<std::size_t>(
+                    cap == 0 ? divs.size()
+                             : std::upper_bound(divs.begin(), divs.end(),
+                                                cap) -
+                                   divs.begin());
                 choice = divs[rng.below(usable)];
             }
-            steady[static_cast<std::size_t>(d)]
-                  [static_cast<std::size_t>(k)] = choice;
+            out.steady[static_cast<std::size_t>(d) *
+                           static_cast<std::size_t>(slots) +
+                       static_cast<std::size_t>(k)] = choice;
             m = ceilDiv(m, choice);
             if (spatial && choice > 1) {
-                auto &budget = axes[static_cast<std::size_t>(level)]
-                                       [static_cast<std::size_t>(d)] ==
-                                       SpatialAxis::X
-                                   ? budget_x
-                                   : budget_y;
+                auto &budget =
+                    axis == SpatialAxis::X ? budget_x : budget_y;
                 RUBY_ASSERT(budget >= choice);
                 budget /= choice;
             }
@@ -188,34 +224,27 @@ Mapspace::sample(Rng &rng) const
     }
 
     // Random temporal loop order per level.
-    std::vector<std::vector<DimId>> perms(
-        static_cast<std::size_t>(nl));
     for (int l = 0; l < nl; ++l) {
-        auto &perm = perms[static_cast<std::size_t>(l)];
-        perm.resize(static_cast<std::size_t>(nd));
-        std::iota(perm.begin(), perm.end(), 0);
-        for (std::size_t i = perm.size(); i-- > 1;)
+        DimId *perm = out.perms.data() + static_cast<std::size_t>(l) * nd;
+        std::iota(perm, perm + nd, 0);
+        for (std::size_t i = nd; i-- > 1;)
             std::swap(perm[i], perm[rng.below(i + 1)]);
     }
 
     // Residency: endpoints keep everything; forced bypasses honoured;
     // remaining intermediate (level, tensor) pairs explored randomly.
-    std::vector<std::vector<char>> keep(
-        static_cast<std::size_t>(nl),
-        std::vector<char>(static_cast<std::size_t>(nt), 1));
-    for (int l = 1; l < nl - 1; ++l)
+    for (int l = 0; l < nl; ++l)
         for (int t = 0; t < nt; ++t) {
-            char flag = 1;
-            if (constraints_->bypassForced(l, t))
-                flag = 0;
-            else
-                flag = rng.below(2) == 0 ? 0 : 1;
-            keep[static_cast<std::size_t>(l)]
-                [static_cast<std::size_t>(t)] = flag;
+            const bool interior = l > 0 && l < nl - 1;
+            const char flag =
+                interior && (constraints_->bypassForced(l, t) ||
+                             rng.below(2) == 0)
+                    ? 0
+                    : 1;
+            out.keep[static_cast<std::size_t>(l * nt + t)] = flag;
+            if (flag != 0 && packKeep)
+                out.keepMask |= std::uint64_t{1} << (l * nt + t);
         }
-
-    return Mapping(prob, arch_spec, steady, std::move(perms),
-                   std::move(keep), std::move(axes));
 }
 
 } // namespace ruby

@@ -13,15 +13,24 @@
  * (see math_util.hpp) the derived tails are perfect exactly at the
  * perfect slots, so Ruby-S chains carry remainders only at spatial
  * slots, Ruby-T only at temporal ones.
+ *
+ * Sampling is split in two: sampleInto() writes one draw's decisions
+ * into reused flat rows without allocating, and materialize() builds
+ * the Mapping from them. Batched searches ingest the rows directly and
+ * materialize only the few candidates that survive the batch stages;
+ * sample() is the two steps back to back, so there is one sampler.
  */
 
 #ifndef RUBY_MAPSPACE_MAPSPACE_HPP
 #define RUBY_MAPSPACE_MAPSPACE_HPP
 
 #include <string>
+#include <unordered_map>
+#include <vector>
 
 #include "ruby/common/rng.hpp"
 #include "ruby/mapping/constraints.hpp"
+#include "ruby/mapping/decisions.hpp"
 #include "ruby/mapping/mapping.hpp"
 
 namespace ruby
@@ -44,6 +53,39 @@ bool imperfectSpatial(MapspaceVariant variant);
 
 /** Does @p variant allow imperfect factors at temporal slots? */
 bool imperfectTemporal(MapspaceVariant variant);
+
+/**
+ * Per-thread sampler state for Mapspace::sampleInto(): the ascending
+ * divisors of every remaining tile count the sampler has drawn at,
+ * computed on first use, plus the draw's two work rows. The sampler
+ * only asks for m = ceil(D / k) of the problem's dimension sizes D, so
+ * the table stays small; it depends on no mapspace and may be shared
+ * by every search a thread runs. Never share one across threads.
+ */
+class DivisorMemo
+{
+  public:
+    /**
+     * Ascending divisors of @p n (>= 1), memoized. The reference is
+     * valid until the next call.
+     */
+    const std::vector<std::uint64_t> &divisorsOf(std::uint64_t n);
+
+    /**
+     * Entries kept before the table starts over. A search needs a few
+     * hundred at most; the cap only bounds a long-lived thread that
+     * samples many distinct problems through sample().
+     */
+    static constexpr std::size_t kMaxEntries = 4096;
+
+  private:
+    friend class Mapspace;
+
+    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
+        table_;
+    std::vector<std::uint64_t> remaining_; ///< tile count left per dim
+    std::vector<DimId> order_;             ///< per-slot visit order
+};
 
 /**
  * A mapspace over one (problem, architecture, constraints) triple.
@@ -71,6 +113,16 @@ class Mapspace
      * flow).
      */
     Mapping sample(Rng &rng) const;
+
+    /**
+     * Draw the same random mapping sample() would (the same RNG calls
+     * in the same order) as flat decision rows in @p out, reusing its
+     * capacity: no heap allocation once @p out and @p memo have grown.
+     */
+    void sampleInto(Rng &rng, Decisions &out, DivisorMemo &memo) const;
+
+    /** The Mapping of a draw made by sampleInto(). */
+    Mapping materialize(const Decisions &decisions) const;
 
     /**
      * Per-slot factor cap for dimension d at slot k: the level

@@ -313,7 +313,6 @@ BatchEvaluator::reserveLanes(std::size_t cap)
     acc2_.resize(cap);
     valid_.resize(cap);
     bound_.resize(cap);
-    src_.resize(cap);
 }
 
 void
@@ -340,7 +339,6 @@ BatchEvaluator::add(const Mapping &mapping)
     RUBY_ASSERT(k_ < cap_, "batch is full; call begin() with a "
                            "larger expected size");
     const std::size_t i = k_++;
-    src_[i] = &mapping;
     // Bulk-table reads: the per-accessor form (chain().at(), keeps(),
     // spatialAxis()) costs a call per element, which at ~115 elements
     // per candidate used to dominate the whole batch.
@@ -362,6 +360,23 @@ BatchEvaluator::add(const Mapping &mapping)
 }
 
 void
+BatchEvaluator::add(const Decisions &decisions)
+{
+    RUBY_ASSERT(k_ < cap_, "batch is full; call begin() with a "
+                           "larger expected size");
+    const std::size_t rows = static_cast<std::size_t>(nd_) *
+                             static_cast<std::size_t>(ns_);
+    RUBY_ASSERT(decisions.steady.size() == rows,
+                "batched decisions need one chain per dimension");
+    const std::size_t i = k_++;
+    // The flat index d * ns + s is the lane row index.
+    for (std::size_t r = 0; r < rows; ++r)
+        steady_[row(r) + i] = decisions.steady[r];
+    keepMask_[i] = decisions.keepMask;
+    axisYMask_[i] = decisions.axisYMask;
+}
+
+void
 BatchEvaluator::add(
     const std::vector<std::vector<std::uint64_t>> &steady,
     const std::vector<std::vector<char>> &keep,
@@ -374,7 +389,6 @@ BatchEvaluator::add(
     RUBY_ASSERT(static_cast<int>(keep.size()) == nl_,
                 "batched candidate needs keep flags per level");
     const std::size_t i = k_++;
-    src_[i] = nullptr;
     for (DimId d = 0; d < nd_; ++d) {
         const auto &chain = steady[static_cast<std::size_t>(d)];
         RUBY_ASSERT(static_cast<int>(chain.size()) == ns_,
@@ -444,43 +458,27 @@ BatchEvaluator::run(Objective obj, EvalStats &stats, bool withBound)
         // --- Objective bound (survivors only) -----------------------
         // Almost every lane dies above, so the serialSteps()
         // recurrence runs per surviving lane, exactly as the scalar
-        // path would have. Mapping-ingested lanes read the
-        // precomputed tail digits back from their chain; raw lanes
-        // re-derive them (the mixed-radix digits of D-1 —
-        // FactorChain::assign's forward pass), spending the divisions
-        // only where no mapping exists.
+        // path would have, re-deriving the tails from the steady
+        // lanes (the mixed-radix digits of D-1 — FactorChain::assign's
+        // forward pass): the divisions are spent on survivors only.
         const double floor = eval_->compulsoryEnergyFloor();
         for (std::size_t i = 0; i < k; ++i) {
             if (!valid_[i])
                 continue;
-            const Mapping *src = src_[i];
             double cycles = 1.0;
             for (DimId d = 0; d < nd_; ++d) {
                 const std::size_t base =
                     static_cast<std::size_t>(d) *
                     static_cast<std::size_t>(ns_);
-                const FactorPair *pairs =
-                    src != nullptr
-                        ? src->chains()[static_cast<std::size_t>(d)]
-                              .factors()
-                              .data()
-                        : nullptr;
                 std::uint64_t q = prob_->dimSize(d) - 1;
                 std::uint64_t full = 1;
                 std::uint64_t tl = 1;
                 for (int s = 0; s < ns_; ++s) {
-                    std::uint64_t p;
-                    std::uint64_t r;
-                    if (pairs != nullptr) {
-                        p = pairs[static_cast<std::size_t>(s)].steady;
-                        r = pairs[static_cast<std::size_t>(s)].tail;
-                    } else {
-                        p = steady_[row(base +
-                                        static_cast<std::size_t>(s)) +
-                                    i];
-                        r = q % p + 1;
-                        q /= p;
-                    }
+                    const std::uint64_t p =
+                        steady_[row(base + static_cast<std::size_t>(s)) +
+                                i];
+                    const std::uint64_t r = q % p + 1;
+                    q /= p;
                     if (isSpatialSlot(s)) {
                         tl = r >= 2 ? full : tl;
                     } else {

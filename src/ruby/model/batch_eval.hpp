@@ -72,22 +72,25 @@ class BatchEvaluator
 
     /**
      * Ingest one candidate from a constructed Mapping. Only the
-     * validity inputs (steady bounds, keep flags, spatial axes) are
-     * copied into lanes; the bound stage reads the tail digits back
-     * from @p mapping — and only for the few candidates that survive
-     * validity — so the mapping must outlive the following run(), as
-     * every search loop's chunk naturally does.
+     * validity inputs (steady bounds and the packed keep/axis masks)
+     * are copied into lanes; nothing is borrowed.
      */
     void add(const Mapping &mapping);
+
+    /**
+     * Ingest one candidate from flat decision rows (a draw of
+     * Mapspace::sampleInto()): the steady row is copied lane-wise as
+     * it stands and the two packed masks are copied as words. The
+     * random search's hot path.
+     */
+    void add(const Decisions &decisions);
 
     /**
      * Ingest one candidate from raw decision tables (the exhaustive
      * enumerator's decoded chains, a genome's rows) without building a
      * Mapping. @p axes may be empty (all X, like Mapping). The caller
      * materializes a Mapping only for candidates that survive the
-     * batch stages; with no mapping to read tails from, the bound
-     * stage derives them from the steady bounds (mixed-radix digits
-     * of the dimension size, FactorChain::assign's forward pass).
+     * batch stages.
      */
     void add(const std::vector<std::vector<std::uint64_t>> &steady,
              const std::vector<std::vector<char>> &keep,
@@ -100,12 +103,13 @@ class BatchEvaluator
      * Run the batch-wide staged reject over every ingested candidate:
      * boundary extents, spatial fit, tile footprints and capacity run
      * full-width over the lanes; when @p withBound is set, the exact
-     * objective lower bound (tail derivation included) then runs only
-     * over the candidates that survived validity. Results are pure
-     * per-candidate facts; counters for the stage buckets are bumped
-     * by the consumer, in candidate order, so partially consumed
-     * batches (deadline, streak) stay exact. Increments
-     * stats.batchCalls only.
+     * objective lower bound then runs only over the candidates that
+     * survived validity, deriving their tails from the steady lanes
+     * (mixed-radix digits of the dimension size, FactorChain::assign's
+     * forward pass). Results are pure per-candidate facts; counters
+     * for the stage buckets are bumped by the consumer, in candidate
+     * order, so partially consumed batches (deadline, streak) stay
+     * exact. Increments stats.batchCalls only.
      */
     void run(Objective obj, EvalStats &stats, bool withBound = true);
 
@@ -175,10 +179,6 @@ class BatchEvaluator
     std::vector<std::uint64_t> acc2_;   ///< one row: lane accumulator
     std::vector<std::uint64_t> valid_;  ///< one row (0/1)
     std::vector<double> bound_;         ///< one row
-    /** Per-lane source mapping (null for raw ingestion): lets the
-     *  bound stage read precomputed tails instead of re-deriving
-     *  them by division. Borrowed until the next run() finishes. */
-    std::vector<const Mapping *> src_;
 };
 
 } // namespace ruby

@@ -27,12 +27,18 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 using Clock = std::chrono::steady_clock;
 
 std::uint64_t
-nsSince(Clock::time_point start)
+nsBetween(Clock::time_point start, Clock::time_point end)
 {
     return static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            Clock::now() - start)
+        std::chrono::duration_cast<std::chrono::nanoseconds>(end -
+                                                             start)
             .count());
+}
+
+std::uint64_t
+nsSince(Clock::time_point start)
+{
+    return nsBetween(start, Clock::now());
 }
 
 /** Upper bound keeping thread/restart typos from exhausting the OS. */
@@ -149,13 +155,19 @@ evalSample(const Mapping &mapping, const Evaluator &evaluator,
  * the cache protocol, the full model, the counter bumps — replays the
  * scalar sequence exactly, against the same live @p bestSoFar, so the
  * two paths are bit-identical per candidate.
+ *
+ * Lanes are ingested as flat decisions; the Mapping that the
+ * fingerprint and the full model need is built into @p mapping only
+ * past the prune, so the ~90 % of draws that die in the batch stages
+ * never construct one. @p mapping is left empty for those.
  */
 SampleOutcome
 consumeBatched(const BatchEvaluator &batch, std::size_t j,
-               const Mapping &mapping, const Evaluator &evaluator,
-               const SearchOptions &opts, EvalCache *cache,
-               const FingerprintPair &salt, double bestSoFar,
-               EvalScratch &scratch, EvalStats &stats)
+               const Decisions &drawn, const Mapspace &space,
+               const Evaluator &evaluator, const SearchOptions &opts,
+               EvalCache *cache, const FingerprintPair &salt,
+               double bestSoFar, EvalScratch &scratch, EvalStats &stats,
+               std::optional<Mapping> &mapping)
 {
     SampleOutcome out;
     ++stats.batchedEvals;
@@ -169,9 +181,10 @@ consumeBatched(const BatchEvaluator &batch, std::size_t j,
         ++stats.prunedBound;
         return out;
     }
+    mapping.emplace(space.materialize(drawn));
     FingerprintPair fp;
     if (cache != nullptr) {
-        fp = mappingFingerprintPair(mapping);
+        fp = mappingFingerprintPair(*mapping);
         fp.key ^= salt.key;
         fp.verify ^= salt.verify;
         CachedEval cached;
@@ -184,7 +197,7 @@ consumeBatched(const BatchEvaluator &batch, std::size_t j,
         ++stats.cacheMisses;
     }
     batch.prepareScratch(j, scratch);
-    evaluator.modelValidated(mapping, scratch);
+    evaluator.modelValidated(*mapping, scratch);
     ++stats.modeled;
     out.modeled = true;
     out.metric = scratch.result.objective(opts.objective);
@@ -201,6 +214,7 @@ struct SharedState
     EvalResult bestResult;
     double bestObjective = kInf;
     EvalStats stats; ///< merged per-shard counters (under mutex)
+    SearchTimers timers; ///< merged per-shard stage time (under mutex)
     /** Lock-free snapshot of bestObjective for the pruning stage; a
      *  stale read is only ever too *large*, which prunes less, never
      *  wrongly. */
@@ -211,6 +225,29 @@ struct SharedState
     std::atomic<bool> stop{false};
     std::atomic<bool> deadlineHit{false};
 };
+
+/**
+ * Claim one evaluation against the shared cap before deciding a
+ * candidate. A shard decides a candidate only with a ticket in hand,
+ * so concurrent shards can never overshoot maxEvaluations (@p cap; 0
+ * is unlimited), and every ticket is one decided candidate, which
+ * keeps decided() == evaluated.
+ */
+bool
+claimEvaluation(std::atomic<std::uint64_t> &evaluated, std::uint64_t cap)
+{
+    if (cap == 0) {
+        evaluated.fetch_add(1, std::memory_order_relaxed);
+        return true;
+    }
+    std::uint64_t seen = evaluated.load(std::memory_order_relaxed);
+    do {
+        if (seen >= cap)
+            return false;
+    } while (!evaluated.compare_exchange_weak(
+        seen, seen + 1, std::memory_order_relaxed));
+    return true;
+}
 
 void
 shardLoop(const Mapspace &space, const Evaluator &evaluator,
@@ -232,9 +269,7 @@ shardLoop(const Mapspace &space, const Evaluator &evaluator,
             state.stop.store(true, std::memory_order_relaxed);
             break;
         }
-        if (opts.maxEvaluations != 0 &&
-            state.evaluated.load(std::memory_order_relaxed) >=
-                opts.maxEvaluations) {
+        if (!claimEvaluation(state.evaluated, opts.maxEvaluations)) {
             state.stop.store(true, std::memory_order_relaxed);
             break;
         }
@@ -246,7 +281,6 @@ shardLoop(const Mapspace &space, const Evaluator &evaluator,
         const SampleOutcome sample =
             evalSample(mapping, evaluator, opts, cache, salt,
                        bestSoFar, scratch, stats);
-        state.evaluated.fetch_add(1, std::memory_order_relaxed);
         if (!sample.valid)
             continue;
         state.valid.fetch_add(1, std::memory_order_relaxed);
@@ -279,11 +313,14 @@ shardLoop(const Mapspace &space, const Evaluator &evaluator,
 
 /**
  * shardLoop() with the K-wide batch front end. Samples are pre-drawn
- * (evaluation never touches the RNG, so the stream is unchanged; draws
- * abandoned at a stop point are simply discarded) and every per-
- * candidate check — stop flag, cancellation, deadline stride, the
- * maxEvaluations bound — runs at consumption, in the scalar order, so
- * the stop points and counter totals match the scalar shard exactly.
+ * as flat decisions (evaluation never touches the RNG, so the stream
+ * is unchanged; draws abandoned at a stop point are simply discarded)
+ * and every per-candidate check — stop flag, cancellation, deadline
+ * stride, the maxEvaluations ticket — runs at consumption, in the
+ * scalar order, so the stop points and counter totals match the
+ * scalar shard exactly. Drawing and ingesting a batch is charged to
+ * timers.breedNs, running and consuming it to timers.evalNs, with one
+ * clock read per stage per batch.
  */
 void
 shardLoopBatched(const Mapspace &space, const Evaluator &evaluator,
@@ -295,9 +332,10 @@ shardLoopBatched(const Mapspace &space, const Evaluator &evaluator,
     FaultInjector &faults = FaultInjector::global();
     EvalScratch scratch;
     EvalStats stats;
+    SearchTimers timers;
     BatchEvaluator batch(evaluator);
-    std::vector<Mapping> drawn;
-    drawn.reserve(kDefaultEvalBatch);
+    DivisorMemo memo;
+    std::vector<Decisions> drawn(kDefaultEvalBatch);
     std::uint64_t local = 0;
     bool done = false;
     while (!done) {
@@ -311,12 +349,14 @@ shardLoopBatched(const Mapspace &space, const Evaluator &evaluator,
                 std::min<std::uint64_t>(want,
                                         opts.maxEvaluations - seen));
         }
-        drawn.clear();
+        const auto draw0 = Clock::now();
         batch.begin(want);
         for (std::size_t j = 0; j < want; ++j) {
-            drawn.push_back(space.sample(rng));
-            batch.add(drawn.back());
+            space.sampleInto(rng, drawn[j], memo);
+            batch.add(drawn[j]);
         }
+        const auto eval0 = Clock::now();
+        timers.breedNs += nsBetween(draw0, eval0);
         batch.run(opts.objective, stats, opts.boundPruning);
         for (std::size_t j = 0; j < want; ++j) {
             if (state.stop.load(std::memory_order_relaxed) ||
@@ -334,9 +374,8 @@ shardLoopBatched(const Mapspace &space, const Evaluator &evaluator,
                 done = true;
                 break;
             }
-            if (opts.maxEvaluations != 0 &&
-                state.evaluated.load(std::memory_order_relaxed) >=
-                    opts.maxEvaluations) {
+            if (!claimEvaluation(state.evaluated,
+                                 opts.maxEvaluations)) {
                 state.stop.store(true, std::memory_order_relaxed);
                 done = true;
                 break;
@@ -345,10 +384,10 @@ shardLoopBatched(const Mapspace &space, const Evaluator &evaluator,
                 faults.maybeThrow("random_search.evaluate");
             const double bestSoFar =
                 state.bestSnapshot.load(std::memory_order_relaxed);
-            const SampleOutcome sample =
-                consumeBatched(batch, j, drawn[j], evaluator, opts,
-                               cache, salt, bestSoFar, scratch, stats);
-            state.evaluated.fetch_add(1, std::memory_order_relaxed);
+            std::optional<Mapping> mapping;
+            const SampleOutcome sample = consumeBatched(
+                batch, j, drawn[j], space, evaluator, opts, cache, salt,
+                bestSoFar, scratch, stats, mapping);
             if (!sample.valid)
                 continue;
             state.valid.fetch_add(1, std::memory_order_relaxed);
@@ -360,7 +399,7 @@ shardLoopBatched(const Mapspace &space, const Evaluator &evaluator,
                     state.bestObjective = sample.metric;
                     state.bestSnapshot.store(
                         sample.metric, std::memory_order_relaxed);
-                    state.best = drawn[j];
+                    state.best = std::move(mapping);
                     state.bestResult = scratch.result;
                     improved = true;
                 }
@@ -376,9 +415,11 @@ shardLoopBatched(const Mapspace &space, const Evaluator &evaluator,
                     state.stop.store(true, std::memory_order_relaxed);
             }
         }
+        timers.evalNs += nsSince(eval0);
     }
     std::lock_guard lock(state.mutex);
     state.stats += stats;
+    state.timers += timers;
 }
 
 SearchResult
@@ -401,13 +442,14 @@ runOne(const Mapspace &space, const Evaluator &evaluator,
         // the same global index i as the scalar loop below, the
         // incumbent is live across the batch, and abandoned draws are
         // discarded uncounted — so best mapping, trajectory, and every
-        // counter are bit-identical to the scalar path at any K.
+        // counter are bit-identical to the scalar path at any K. Stage
+        // time is charged as in shardLoopBatched().
         FaultInjector &faults = FaultInjector::global();
         Rng rng(options.seed);
         EvalScratch scratch;
         BatchEvaluator batch(evaluator);
-        std::vector<Mapping> drawn;
-        drawn.reserve(kDefaultEvalBatch);
+        DivisorMemo memo;
+        std::vector<Decisions> drawn(kDefaultEvalBatch);
         double best = kInf;
         std::uint64_t streak = 0;
         std::uint64_t i = 0;
@@ -420,12 +462,14 @@ runOne(const Mapspace &space, const Evaluator &evaluator,
                 want = static_cast<std::size_t>(std::min<std::uint64_t>(
                     want, options.maxEvaluations - i));
             }
-            drawn.clear();
+            const auto draw0 = Clock::now();
             batch.begin(want);
             for (std::size_t j = 0; j < want; ++j) {
-                drawn.push_back(space.sample(rng));
-                batch.add(drawn.back());
+                space.sampleInto(rng, drawn[j], memo);
+                batch.add(drawn[j]);
             }
+            const auto eval0 = Clock::now();
+            out.timers.breedNs += nsBetween(draw0, eval0);
             batch.run(options.objective, out.stats,
                       options.boundPruning);
             for (std::size_t j = 0; j < want; ++j, ++i) {
@@ -439,16 +483,16 @@ runOne(const Mapspace &space, const Evaluator &evaluator,
                 }
                 if (faults.enabled())
                     faults.maybeThrow("random_search.evaluate");
-                const SampleOutcome sample =
-                    consumeBatched(batch, j, drawn[j], evaluator,
-                                   options, cache, salt, best, scratch,
-                                   out.stats);
+                std::optional<Mapping> mapping;
+                const SampleOutcome sample = consumeBatched(
+                    batch, j, drawn[j], space, evaluator, options, cache,
+                    salt, best, scratch, out.stats, mapping);
                 ++out.evaluated;
                 if (sample.valid) {
                     ++out.valid;
                     if (sample.modeled && sample.metric < best) {
                         best = sample.metric;
-                        out.best = drawn[j];
+                        out.best = std::move(mapping);
                         out.bestResult = scratch.result;
                         streak = 0;
                     } else {
@@ -463,6 +507,7 @@ runOne(const Mapspace &space, const Evaluator &evaluator,
                     break;
                 }
             }
+            out.timers.evalNs += nsSince(eval0);
         }
         return out;
     }
@@ -536,6 +581,7 @@ runOne(const Mapspace &space, const Evaluator &evaluator,
     out.evaluated = state.evaluated.load();
     out.valid = state.valid.load();
     out.stats = state.stats;
+    out.timers = state.timers;
     out.deadlineExceeded = state.deadlineHit.load();
     return out;
 }
@@ -682,6 +728,7 @@ randomSearch(const Mapspace &space, const Evaluator &evaluator,
             best.evaluated += res.evaluated;
             best.valid += res.valid;
             best.stats += res.stats;
+            best.timers += res.timers;
             if (res.deadlineExceeded) {
                 best.deadlineExceeded = true;
                 break;

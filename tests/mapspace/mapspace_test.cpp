@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "ruby/arch/presets.hpp"
+#include "ruby/common/math_util.hpp"
 #include "ruby/common/rng.hpp"
+#include "ruby/model/eval_cache.hpp"
+#include "ruby/search/driver.hpp"
+#include "ruby/util/hash.hpp"
 #include "ruby/workload/conv.hpp"
 #include "ruby/workload/gemm.hpp"
 #include "ruby/workload/suites/suites.hpp"
@@ -156,6 +160,105 @@ TEST(Mapspace, DeterministicForSeed)
         const Mapping b = space.sample(r2);
         EXPECT_EQ(a.toString(), b.toString());
     }
+}
+
+/**
+ * FNV-1a over the rendered first @p draws samples of one seeded
+ * stream: any change to the draws, their order, or the RNG calls
+ * behind them moves the hash.
+ */
+std::uint64_t
+sampleStreamHash(const Mapspace &space, std::uint64_t seed, int draws)
+{
+    Rng rng(seed);
+    std::uint64_t hash = hashing::kFnvOffset;
+    for (int i = 0; i < draws; ++i)
+        hash = hashing::fnv1aBytes(space.sample(rng).toString(), hash);
+    return hash;
+}
+
+/**
+ * Golden sampler streams: the first 2000 draws of every variant on
+ * the Eyeriss and Simba presets, pinned to the values the nested-table
+ * sampler produced. The sampler's RNG call sequence is part of every
+ * search's answer, so a rewrite of the sampler must keep these.
+ */
+TEST(MapspaceGolden, SampleStreamsArePinned)
+{
+    struct Case
+    {
+        const char *name;
+        ArchSpec arch;
+        ConstraintPreset preset;
+        std::uint64_t hash[4]; ///< PFM, Ruby, Ruby-S, Ruby-T
+    };
+    const Problem prob = makeConv(resnet50Layers()[1].shape);
+    const Case cases[] = {
+        {"eyeriss", makeEyeriss(), ConstraintPreset::EyerissRS,
+         {0xa45ad3b928015c00ull, 0x78f237033461bb88ull,
+          0xb46bea31943f44c8ull, 0x43fa5814569b7576ull}},
+        {"simba", makeSimba(), ConstraintPreset::Simba,
+         {0xa454afdc496b0320ull, 0x791eb4fd00a60642ull,
+          0x39044c8e7091cf04ull, 0x32297ef199dfbe3full}},
+    };
+    const MapspaceVariant variants[] = {
+        MapspaceVariant::PFM, MapspaceVariant::Ruby,
+        MapspaceVariant::RubyS, MapspaceVariant::RubyT};
+    for (const Case &c : cases) {
+        const MappingConstraints cons =
+            makeConstraints(c.preset, prob, c.arch);
+        for (int v = 0; v < 4; ++v) {
+            const Mapspace space(cons, variants[v]);
+            const std::uint64_t got = sampleStreamHash(space, 2022, 2000);
+            EXPECT_EQ(got, c.hash[v])
+                << c.name << " " << variantName(variants[v]) << " 0x"
+                << std::hex << got;
+        }
+    }
+}
+
+/**
+ * sampleInto() is sample() split in two: on the same stream, its rows
+ * materialize to the very mapping sample() returns, and the packed
+ * masks match the mapping's. One Decisions and one memo are reused
+ * across every draw and every variant, as the search loops do.
+ */
+TEST(MapspaceGolden, SampleIntoMaterializesToSample)
+{
+    const Problem prob = makeConv(resnet50Layers()[1].shape);
+    const ArchSpec arch = makeSimba();
+    const MappingConstraints cons =
+        makeConstraints(ConstraintPreset::Simba, prob, arch);
+    Decisions decisions;
+    DivisorMemo memo;
+    for (const MapspaceVariant variant :
+         {MapspaceVariant::PFM, MapspaceVariant::Ruby,
+          MapspaceVariant::RubyS, MapspaceVariant::RubyT}) {
+        const Mapspace space(cons, variant);
+        Rng viaSample(31), viaRows(31);
+        for (int i = 0; i < 500; ++i) {
+            const Mapping expected = space.sample(viaSample);
+            space.sampleInto(viaRows, decisions, memo);
+            const Mapping got = space.materialize(decisions);
+            ASSERT_EQ(got.toString(), expected.toString())
+                << variantName(variant) << " draw " << i;
+            EXPECT_EQ(mappingFingerprint(got),
+                      mappingFingerprint(expected));
+            EXPECT_EQ(decisions.keepMask, expected.keepMask());
+            EXPECT_EQ(decisions.axisYMask, expected.axisYMask());
+        }
+        // Both streams advanced by exactly the same RNG calls.
+        EXPECT_EQ(viaSample.next(), viaRows.next());
+    }
+}
+
+/** The memo answers like trial division, also after it starts over. */
+TEST(DivisorMemo, MatchesTrialDivisionPastItsCap)
+{
+    DivisorMemo memo;
+    for (std::uint64_t n = 1; n <= DivisorMemo::kMaxEntries + 100; ++n)
+        ASSERT_EQ(memo.divisorsOf(n), divisors(n)) << n;
+    EXPECT_EQ(memo.divisorsOf(360), divisors(360));
 }
 
 } // namespace

@@ -167,41 +167,64 @@ TEST(BatchEval, DirectParitySweepSimba)
 }
 
 /**
- * The raw-table ingestion path (exhaustive enumeration, genomes) must
- * decide exactly like the Mapping path — its tails are re-derived in
- * lane form rather than copied, so this pins the division pass.
+ * The raw-table and flat-decision ingestion paths (exhaustive
+ * enumeration and genomes; the random sampler's sampleInto() rows)
+ * must decide exactly like the Mapping path, lane for lane — their
+ * tails are re-derived in lane form rather than copied, so this pins
+ * the division pass — and hand modelValidated() the same tile table.
  */
-TEST(BatchEval, RawIngestMatchesMappingIngest)
+void
+ingestPathsAgree(PresetFixture fix, std::uint64_t seed)
 {
-    PresetFixture fix = eyerissFixture();
-    Rng rng(29);
+    Rng viaSample(seed), viaRows(seed);
     BatchEvaluator viaMapping(fix.eval);
     BatchEvaluator viaTables(fix.eval);
+    BatchEvaluator viaFlat(fix.eval);
     EvalStats stats;
     const std::size_t k = 64;
     std::vector<MappingGenome> genomes;
     genomes.reserve(k);
-    // Ingested mappings are borrowed until run() (the bound stage
-    // reads tails back from them), so the chunk must stay alive.
     std::vector<Mapping> drawn;
     drawn.reserve(k);
+    std::vector<Decisions> rows(k);
+    DivisorMemo memo;
     viaMapping.begin(k);
     viaTables.begin(k);
+    viaFlat.begin(k);
     for (std::size_t i = 0; i < k; ++i) {
-        drawn.push_back(fix.space.sample(rng));
+        drawn.push_back(fix.space.sample(viaSample));
         genomes.push_back(extractGenome(drawn.back()));
+        fix.space.sampleInto(viaRows, rows[i], memo);
         viaMapping.add(drawn.back());
         viaTables.add(genomes.back().steady, genomes.back().keep,
                       genomes.back().axes);
+        viaFlat.add(rows[i]);
     }
     viaMapping.run(Objective::EDP, stats);
     viaTables.run(Objective::EDP, stats);
+    viaFlat.run(Objective::EDP, stats);
+    EvalScratch fromMapping, fromFlat;
+    std::size_t survivors = 0;
     for (std::size_t i = 0; i < k; ++i) {
         EXPECT_EQ(viaMapping.valid(i), viaTables.valid(i)) << i;
-        if (viaMapping.valid(i)) {
-            EXPECT_EQ(viaMapping.bound(i), viaTables.bound(i)) << i;
-        }
+        ASSERT_EQ(viaMapping.valid(i), viaFlat.valid(i)) << i;
+        if (!viaMapping.valid(i))
+            continue;
+        ++survivors;
+        EXPECT_EQ(viaMapping.bound(i), viaTables.bound(i)) << i;
+        EXPECT_EQ(viaMapping.bound(i), viaFlat.bound(i)) << i;
+        viaMapping.prepareScratch(i, fromMapping);
+        viaFlat.prepareScratch(i, fromFlat);
+        EXPECT_EQ(fromMapping.tiles.tileWords, fromFlat.tiles.tileWords)
+            << i;
     }
+    EXPECT_GT(survivors, 0u);
+}
+
+TEST(BatchEval, RawIngestMatchesMappingIngest)
+{
+    ingestPathsAgree(eyerissFixture(), 29);
+    ingestPathsAgree(simbaFixture(), 31);
 }
 
 /**

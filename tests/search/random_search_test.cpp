@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "ruby/arch/presets.hpp"
+#include "ruby/search/driver.hpp"
+#include "ruby/workload/conv.hpp"
 #include "ruby/workload/gemm.hpp"
 #include "ruby/workload/problem.hpp"
+#include "ruby/workload/suites/suites.hpp"
 
 namespace ruby
 {
@@ -107,6 +110,44 @@ TEST(RandomSearch, ObjectiveDelayFindsFasterMappings)
     // Optimizing delay cannot find a slower best than the EDP search
     // found (same seed, same sample stream).
     EXPECT_LE(by_delay.bestResult.cycles, by_edp.bestResult.cycles);
+}
+
+/**
+ * maxEvaluations is a hard cap at every thread count: a shard claims
+ * an evaluation before deciding a candidate, so two shards can never
+ * both pass the check at max - 1, and every claim is one decided
+ * candidate. Checked over many seeds and several layers, for batched
+ * and scalar shards, on a cap that is not a multiple of the batch
+ * width.
+ */
+TEST(RandomSearch, ThreadedEvaluationCapIsHard)
+{
+    const ArchSpec arch = makeSimba();
+    const std::vector<Layer> layers = resnet50Layers();
+    for (std::size_t li = 0; li < 4; ++li) {
+        const Problem prob = makeConv(layers[li].shape);
+        const MappingConstraints cons =
+            makeConstraints(ConstraintPreset::Simba, prob, arch);
+        const Mapspace space(cons, MapspaceVariant::Ruby);
+        const Evaluator eval(prob, arch);
+        for (const bool batched : {true, false})
+            for (const unsigned threads : {2u, 4u})
+                for (std::uint64_t seed = 1; seed <= 15; ++seed) {
+                    SearchOptions opts;
+                    opts.maxEvaluations = 300;
+                    opts.terminationStreak = 0;
+                    opts.threads = threads;
+                    opts.batchEval = batched;
+                    opts.seed = seed;
+                    const SearchResult res =
+                        randomSearch(space, eval, opts);
+                    ASSERT_EQ(res.evaluated, 300u)
+                        << "layer " << li << " seed " << seed
+                        << " threads " << threads << " batched "
+                        << batched;
+                    ASSERT_EQ(res.stats.decided(), res.evaluated);
+                }
+    }
 }
 
 } // namespace
