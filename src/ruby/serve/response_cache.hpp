@@ -148,7 +148,7 @@ class SingleFlight
     {
         EventLoop::ConnId conn = 0;
         std::shared_ptr<Request> request;
-        /** Original frame (used by the router on promotion). */
+        /** The request frame as received (run on promotion). */
         std::shared_ptr<std::string> rawLine;
     };
 

@@ -1,22 +1,9 @@
 #include "ruby/serve/router.hpp"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <signal.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
-#include <cstring>
-#include <future>
-#include <iostream>
-#include <optional>
 
 #include "ruby/common/error.hpp"
-#include "ruby/serve/response_cache.hpp"
 #include "ruby/util/hash.hpp"
 
 namespace ruby
@@ -27,51 +14,16 @@ namespace serve
 namespace
 {
 
-/** Lines a connection may buffer before its reads are paused. */
-constexpr std::size_t kMaxPendingLines = 64;
-constexpr std::size_t kResumePendingLines = kMaxPendingLines / 2;
 /** Idle pooled connections kept per backend. */
 constexpr std::size_t kMaxPooledConnections = 4;
 
-/** Write end of the self-pipe the signal handler forwards to. */
-std::atomic<int> g_routerSignalFd{-1};
-
-extern "C" void
-routerSignalHandler(int)
-{
-    const int fd = g_routerSignalFd.load(std::memory_order_relaxed);
-    if (fd >= 0) {
-        const char byte = 's';
-        [[maybe_unused]] const auto rc = ::write(fd, &byte, 1);
-    }
-}
-
-/** Best-effort id extraction for error responses to malformed lines. */
-std::string
-extractId(const std::string &line)
-{
-    try {
-        return parseJson(line).getString("id", "");
-    } catch (...) {
-        return "";
-    }
-}
-
-bool
-unixSocketIsLive(const std::string &path)
-{
-    const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0)
-        return false;
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-    const bool live =
-        ::connect(fd, reinterpret_cast<sockaddr *>(&addr),
-                  sizeof(addr)) == 0;
-    ::close(fd);
-    return live;
-}
+const Frontend::Tier kRouterTier = {
+    "router",
+    "ruby-router",
+    "process",
+    "router is shutting down",
+    "router queue full; retry later",
+};
 
 void
 accumulateU64(const JsonValue &section, const char *key,
@@ -150,7 +102,7 @@ ConsistentRing::pick(
 
 Router::Router(RouterOptions options)
     : options_(std::move(options)),
-      admission_(options_.maxForwards, options_.queueCapacity)
+      frontend_(options_, options_.maxForwards, kRouterTier, *this)
 {
     RUBY_CHECK(!options_.backends.empty(),
                "router: need at least one backend");
@@ -167,262 +119,44 @@ Router::Router(RouterOptions options)
     ring_ =
         std::make_unique<ConsistentRing>(std::move(names),
                                          options_.replicas);
-    if (options_.responseCache)
-        responseCache_ = std::make_unique<ResponseCache>(
-            options_.responseCacheCapacity);
 }
 
 Router::~Router()
 {
-    if (started_ && !drained_) {
-        requestShutdown();
-        waitForShutdown();
-    }
-}
-
-void
-Router::bindListener()
-{
-    if (!options_.unixPath.empty()) {
-        listenFd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        RUBY_CHECK(listenFd_ >= 0, "router: socket(): ",
-                   std::strerror(errno));
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        RUBY_CHECK(options_.unixPath.size() < sizeof(addr.sun_path),
-                   "router: socket path too long: ",
-                   options_.unixPath);
-        std::strncpy(addr.sun_path, options_.unixPath.c_str(),
-                     sizeof(addr.sun_path) - 1);
-        if (::bind(listenFd_, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof(addr)) != 0) {
-            const int bindErrno = errno;
-            RUBY_CHECK(bindErrno == EADDRINUSE,
-                       "router: cannot bind ", options_.unixPath,
-                       ": ", std::strerror(bindErrno));
-            // Same stale-socket recovery as the daemon: a path a
-            // crashed process left behind is unlinked and rebound; a
-            // path a live process answers on is an operator error.
-            RUBY_CHECK(!unixSocketIsLive(options_.unixPath),
-                       "router: ", options_.unixPath,
-                       " is owned by a live process");
-            ::unlink(options_.unixPath.c_str());
-            RUBY_CHECK(::bind(listenFd_,
-                              reinterpret_cast<sockaddr *>(&addr),
-                              sizeof(addr)) == 0,
-                       "router: cannot bind ", options_.unixPath,
-                       ": ", std::strerror(errno));
-        }
-    } else {
-        listenFd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-        RUBY_CHECK(listenFd_ >= 0, "router: socket(): ",
-                   std::strerror(errno));
-        const int one = 1;
-        ::setsockopt(listenFd_, SOL_SOCKET, SO_REUSEADDR, &one,
-                     sizeof(one));
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<std::uint16_t>(options_.port));
-        RUBY_CHECK(::inet_pton(AF_INET, options_.host.c_str(),
-                               &addr.sin_addr) == 1,
-                   "router: invalid bind address ", options_.host);
-        RUBY_CHECK(::bind(listenFd_,
-                          reinterpret_cast<sockaddr *>(&addr),
-                          sizeof(addr)) == 0,
-                   "router: cannot bind ", options_.host, ":",
-                   options_.port, ": ", std::strerror(errno));
-        sockaddr_in bound{};
-        socklen_t len = sizeof(bound);
-        RUBY_CHECK(::getsockname(listenFd_,
-                                 reinterpret_cast<sockaddr *>(&bound),
-                                 &len) == 0,
-                   "router: getsockname(): ", std::strerror(errno));
-        boundPort_ = static_cast<int>(ntohs(bound.sin_port));
-    }
-    RUBY_CHECK(::listen(listenFd_, 256) == 0, "router: listen(): ",
-               std::strerror(errno));
+    requestShutdown();
+    waitForShutdown();
 }
 
 void
 Router::start()
 {
-    RUBY_CHECK(!started_, "router: start() called twice");
-    RUBY_CHECK(::pipe(sigPipe_.data()) == 0,
-               "router: cannot create the signal pipe: ",
-               std::strerror(errno));
-    ::signal(SIGPIPE, SIG_IGN);
-
-    bindListener();
-
-    forwarders_ = std::make_unique<ThreadPool>(options_.maxForwards);
-    pipeline_ = std::make_unique<ThreadPool>(1);
-    startTime_ = std::chrono::steady_clock::now();
-
     // First health sweep before serving: a backend that is down at
     // boot must not receive the first keys.
     for (std::size_t i = 0; i < backends_.size(); ++i)
         checkBackend(i);
-
-    EventLoop::Callbacks callbacks;
-    callbacks.onConnect = [this](EventLoop::ConnId id) {
-        onConnect(id);
-    };
-    callbacks.onLine = [this](EventLoop::ConnId id,
-                              std::string &&line) {
-        onLine(id, std::move(line));
-    };
-    callbacks.onOversize = [this](EventLoop::ConnId id, std::size_t) {
-        onOversize(id);
-    };
-    callbacks.onDisconnect = [this](EventLoop::ConnId id) {
-        onDisconnect(id);
-    };
-    loop_ = std::make_unique<EventLoop>(listenFd_,
-                                        options_.maxLineBytes,
-                                        std::move(callbacks));
-
-    started_ = true;
-    reactorThread_ = std::thread([this]() { loop_->run(); });
+    frontend_.start(detail::composeMessage(" (", backends_.size(),
+                                           " backends)"));
     healthThread_ = std::thread([this]() { healthLoop(); });
-    signalThread_ = std::thread([this]() {
-        for (;;) {
-            char byte = 0;
-            const ssize_t n = ::read(sigPipe_[0], &byte, 1);
-            if (n < 0 && errno == EINTR)
-                continue;
-            if (n <= 0 || byte == 'q')
-                return;
-            requestShutdown();
-        }
-    });
-
-    if (options_.logLifecycle) {
-        if (!options_.unixPath.empty())
-            logLine(detail::composeMessage(
-                "ruby-router: listening on unix:", options_.unixPath,
-                " (", backends_.size(), " backends)"));
-        else
-            logLine(detail::composeMessage(
-                "ruby-router: listening on ", options_.host, ":",
-                boundPort_, " (", backends_.size(), " backends)"));
-    }
-}
-
-void
-Router::installSignalDrain(Router &router)
-{
-    RUBY_CHECK(router.started_,
-               "router: installSignalDrain() before start()");
-    g_routerSignalFd.store(router.sigPipe_[1],
-                           std::memory_order_relaxed);
-    struct sigaction sa{};
-    sa.sa_handler = routerSignalHandler;
-    sigemptyset(&sa.sa_mask);
-    sa.sa_flags = SA_RESTART;
-    ::sigaction(SIGTERM, &sa, nullptr);
-    ::sigaction(SIGINT, &sa, nullptr);
-    ::signal(SIGPIPE, SIG_IGN);
-}
-
-void
-Router::requestShutdown()
-{
-    {
-        std::lock_guard<std::mutex> lock(mutex_);
-        if (shutdownRequested_)
-            return;
-        shutdownRequested_ = true;
-    }
-    shutdownCv_.notify_all();
-    healthCv_.notify_all();
-    if (sigPipe_[1] >= 0) {
-        const char byte = 'q';
-        [[maybe_unused]] const auto rc = ::write(sigPipe_[1], &byte, 1);
-    }
-}
-
-bool
-Router::shutdownRequested() const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    return shutdownRequested_;
 }
 
 void
 Router::waitForShutdown()
 {
-    {
-        std::unique_lock<std::mutex> lock(mutex_);
-        shutdownCv_.wait(lock, [&]() { return shutdownRequested_; });
-        if (drained_)
-            return;
-    }
-    if (options_.logLifecycle)
-        logLine("ruby-router: drain started");
-
-    // Same drain order as the daemon (see Server::waitForShutdown):
-    // stop accepting, flip the gate so queued forwards reject as
-    // "draining", give inflight forwards the budget to reach their
-    // true outcome, then barrier the pools around a read shutdown so
-    // every response written by a worker is flushed before the
-    // reactor stops.
-    loop_->stopAccepting();
-    admission_.beginDrain();
-    if (!admission_.waitIdleFor(options_.drainBudget)) {
-        if (options_.logLifecycle)
-            logLine("ruby-router: drain budget expired; waiting for "
-                    "inflight forwards");
-        admission_.waitIdle();
-    }
-
-    if (forwarders_ != nullptr)
-        forwarders_->waitIdle();
-    if (pipeline_ != nullptr)
-        pipeline_->waitIdle();
-    loop_->shutdownReads();
-    {
-        std::promise<void> flushed;
-        loop_->post([&flushed]() { flushed.set_value(); });
-        flushed.get_future().wait();
-    }
-    if (pipeline_ != nullptr)
-        pipeline_->waitIdle();
-    if (forwarders_ != nullptr)
-        forwarders_->waitIdle();
-    loop_->stop();
-    if (reactorThread_.joinable())
-        reactorThread_.join();
-    forwarders_.reset();
-    pipeline_.reset();
+    // The frontend drains exactly like the daemon's, except that past
+    // the budget inflight forwards are waited out, never cancelled
+    // (drainBudgetExpired); the health thread then sees the request
+    // and retires.
+    frontend_.waitForShutdown();
     if (healthThread_.joinable())
         healthThread_.join();
-    if (signalThread_.joinable())
-        signalThread_.join();
-
-    loop_.reset();
-    if (listenFd_ >= 0) {
-        ::close(listenFd_);
-        listenFd_ = -1;
-    }
-    if (!options_.unixPath.empty())
-        ::unlink(options_.unixPath.c_str());
-    for (int &fd : sigPipe_) {
-        if (fd >= 0)
-            ::close(fd);
-        fd = -1;
-    }
-    {
-        std::lock_guard<std::mutex> lock(connMutex_);
-        connStates_.clear();
-    }
     for (std::size_t i = 0; i < backends_.size(); ++i)
         dropConnections(i);
+}
 
-    if (options_.logLifecycle)
-        logLine(detail::composeMessage("ruby-router: final stats ",
-                                       writeJson(fleetStatsJson())));
-    std::lock_guard<std::mutex> lock(mutex_);
-    drained_ = true;
+void
+Router::drainBudgetExpired()
+{
+    frontend_.log("drain budget expired; waiting for inflight forwards");
 }
 
 // ---------------------------------------------------------------------------
@@ -553,16 +287,9 @@ Router::dropConnections(std::size_t backend)
 void
 Router::healthLoop()
 {
-    for (;;) {
-        {
-            std::unique_lock<std::mutex> lock(healthMutex_);
-            healthCv_.wait_for(lock, options_.healthInterval);
-        }
-        if (shutdownRequested())
-            return;
+    while (!frontend_.waitForShutdownRequest(options_.healthInterval))
         for (std::size_t i = 0; i < backends_.size(); ++i)
             checkBackend(i);
-    }
 }
 
 void
@@ -582,291 +309,45 @@ Router::checkBackend(std::size_t index)
         if (wasHealthy != health.ok ||
             wasDraining != health.draining)
             bumpEpoch(index);
-        if (!wasHealthy && health.ok && options_.logLifecycle)
-            logLine(detail::composeMessage(
-                "ruby-router: backend ", backend.endpoint.describe(),
-                " recovered"));
+        if (!wasHealthy && health.ok)
+            frontend_.log(detail::composeMessage(
+                "backend ", backend.endpoint.describe(), " recovered"));
     } catch (const std::exception &) {
         if (backend.healthy.exchange(false)) {
             bumpEpoch(index);
             dropConnections(index);
-            if (options_.logLifecycle)
-                logLine(detail::composeMessage(
-                    "ruby-router: backend ",
-                    backend.endpoint.describe(), " unhealthy"));
+            frontend_.log(detail::composeMessage(
+                "backend ", backend.endpoint.describe(), " unhealthy"));
         }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Reactor callbacks + dispatch (mirrors Server)
+// Forwarding
 
-void
-Router::onConnect(EventLoop::ConnId id)
-{
-    {
-        std::lock_guard<std::mutex> stats(statsMutex_);
-        ++connectionsAccepted_;
-    }
-    std::lock_guard<std::mutex> lock(connMutex_);
-    connStates_.emplace(id, ConnState{});
-}
-
-void
-Router::onDisconnect(EventLoop::ConnId id)
-{
-    std::lock_guard<std::mutex> lock(connMutex_);
-    connStates_.erase(id);
-}
-
-void
-Router::onOversize(EventLoop::ConnId id)
-{
-    loop_->sendAndClose(
-        id,
-        writeJson(makeErrorResponse(
-            "", kCodeBadRequest, "bad-request",
-            "request line exceeds the size limit")) +
-            "\n");
-}
-
-void
-Router::onLine(EventLoop::ConnId id, std::string &&line)
-{
-    bool dispatch = false;
-    bool pause = false;
-    {
-        std::lock_guard<std::mutex> lock(connMutex_);
-        const auto it = connStates_.find(id);
-        if (it == connStates_.end())
-            return;
-        ConnState &state = it->second;
-        if (state.busy) {
-            state.pending.push_back(std::move(line));
-            if (!state.paused &&
-                state.pending.size() >= kMaxPendingLines) {
-                state.paused = true;
-                pause = true;
-            }
-        } else {
-            state.busy = true;
-            dispatch = true;
-        }
-    }
-    if (pause)
-        loop_->pauseReads(id);
-    if (dispatch)
-        pipeline_->submit([this, id, captured = std::move(line)]() {
-            processLine(id, captured);
-        });
-}
-
-void
-Router::processLine(EventLoop::ConnId id, const std::string &line)
-{
-    {
-        std::lock_guard<std::mutex> stats(statsMutex_);
-        ++received_;
-    }
-    std::shared_ptr<Request> request;
-    auto rawLine = std::make_shared<std::string>(line);
-    try {
-        const JsonValue root = parseJson(line);
-        request = std::make_shared<Request>(parseRequest(root));
-    } catch (const Error &e) {
-        respond(id,
-                makeErrorResponse(extractId(line), kCodeBadRequest,
-                                  "bad-request", e.what()),
-                false);
-        return;
-    } catch (const std::exception &e) {
-        respond(id,
-                makeErrorResponse(extractId(line), kCodeInternal,
-                                  "internal", e.what()),
-                false);
-        return;
-    }
-
-    if (request->type == RequestType::Map ||
-        request->type == RequestType::Net) {
-        dispatchForward(id, std::move(request), std::move(rawLine));
-        return;
-    }
-
-    bool shutdownAfterSend = false;
-    JsonValue response;
-    try {
-        response = handleQuick(*request, shutdownAfterSend);
-    } catch (const std::exception &e) {
-        response = makeErrorResponse(request->id, kCodeInternal,
-                                     "internal", e.what());
-    }
-    respond(id, response, shutdownAfterSend);
-}
-
-void
-Router::dispatchForward(EventLoop::ConnId id,
-                        std::shared_ptr<Request> request,
-                        std::shared_ptr<std::string> rawLine)
-{
-    std::string cacheKey;
-    if (responseCache_ != nullptr) {
-        cacheKey = responseCacheKey(*request);
-        if (!cacheKey.empty()) {
-            std::string cached;
-            if (responseCache_->lookup(
-                    cacheKey, cached,
-                    [this](std::uint64_t tag) {
-                        return cacheTagValid(tag);
-                    })) {
-                // Served at the router: no backend round trip. The
-                // router's latency histogram is deliberately not
-                // fed — it keeps meaning "forwarded requests".
-                respond(id,
-                        restampResponseId(parseJson(cached),
-                                          request->id),
-                        false);
-                return;
-            }
-            SingleFlight::Waiter waiter;
-            waiter.conn = id;
-            waiter.request = request;
-            waiter.rawLine = rawLine;
-            if (!singleFlight_.join(cacheKey, std::move(waiter)))
-                return;
-        }
-    }
-    admitForward(id, std::move(request), std::move(rawLine),
-                 std::move(cacheKey));
-}
-
-void
-Router::admitForward(EventLoop::ConnId id,
-                     std::shared_ptr<Request> request,
-                     std::shared_ptr<std::string> rawLine,
-                     std::string cacheKey)
-{
-    const Admission::AsyncTicket ticket = admission_.acquireAsync(
-        [this, id, request, rawLine,
-         cacheKey](AdmissionTicket outcome) {
-            if (outcome != AdmissionTicket::Admitted) {
-                const JsonValue error =
-                    makeErrorResponse(request->id, kCodeRejected,
-                                      "draining",
-                                      "router is shutting down");
-                respond(id, error, false);
-                if (!cacheKey.empty())
-                    completeFlight(cacheKey, error);
-                return;
-            }
-            bool open;
-            {
-                std::lock_guard<std::mutex> lock(connMutex_);
-                open = connStates_.find(id) != connStates_.end();
-            }
-            if (!open) {
-                // Requester hung up while queued: promote a parked
-                // follower as the new leader (it inherits this
-                // forwarding slot), or return the slot untouched.
-                std::optional<SingleFlight::Waiter> promoted;
-                if (!cacheKey.empty())
-                    promoted = singleFlight_.abandon(cacheKey);
-                if (!promoted) {
-                    admission_.release();
-                    return;
-                }
-                forwarders_->submit([this, cacheKey,
-                                     waiter = *promoted]() {
-                    runForward(waiter.conn, waiter.request,
-                               waiter.rawLine, cacheKey);
-                });
-                return;
-            }
-            forwarders_->submit(
-                [this, id, request, rawLine, cacheKey]() {
-                    runForward(id, request, rawLine, cacheKey);
-                });
-        });
-    switch (ticket) {
-      case Admission::AsyncTicket::Admitted:
-        forwarders_->submit(
-            [this, id, request, rawLine, cacheKey]() {
-                runForward(id, request, rawLine, cacheKey);
-            });
-        break;
-      case Admission::AsyncTicket::Saturated: {
-        const JsonValue error = makeErrorResponse(
-            request->id, kCodeRejected, "saturated",
-            "router queue full; retry later");
-        respond(id, error, false);
-        if (!cacheKey.empty())
-            completeFlight(cacheKey, error);
-        break;
-      }
-      case Admission::AsyncTicket::Draining: {
-        const JsonValue error =
-            makeErrorResponse(request->id, kCodeRejected,
-                              "draining",
-                              "router is shutting down");
-        respond(id, error, false);
-        if (!cacheKey.empty())
-            completeFlight(cacheKey, error);
-        break;
-      }
-      case Admission::AsyncTicket::Queued:
-        break;
-    }
-}
-
-void
-Router::runForward(EventLoop::ConnId id,
-                   const std::shared_ptr<Request> &request,
-                   const std::shared_ptr<std::string> &rawLine,
-                   const std::string &cacheKey)
+JsonValue
+Router::handle(const Request &request, const std::string &line,
+               std::optional<std::uint64_t> &cacheTag)
 {
     const auto begin = std::chrono::steady_clock::now();
     JsonValue response;
     std::size_t servedBy = backends_.size();
     try {
         response =
-            forwardToFleet(routingKey(*request), request->id,
-                           *rawLine, servedBy);
+            forwardToFleet(routingKey(request), request.id, line,
+                           servedBy);
     } catch (const std::exception &e) {
-        response = makeErrorResponse(request->id, kCodeInternal,
+        response = makeErrorResponse(request.id, kCodeInternal,
                                      "internal", e.what());
     }
-    {
-        const auto elapsed =
-            std::chrono::duration_cast<std::chrono::microseconds>(
-                std::chrono::steady_clock::now() - begin);
-        std::lock_guard<std::mutex> stats(statsMutex_);
-        latency_.record(elapsed);
-    }
-    // Release before responding, like Server::runSearch: a client
-    // holding the response must find the forwarding slot free.
-    admission_.release();
-    if (!cacheKey.empty() && responseCache_ != nullptr &&
-        servedBy < backends_.size()) {
-        const JsonValue *code = response.find("code");
-        if (code != nullptr && code->asI64() == kCodeOk)
-            responseCache_->insert(cacheKey, writeJson(response),
-                                   cacheTag(servedBy));
-    }
-    respond(id, response, false);
-    if (!cacheKey.empty())
-        completeFlight(cacheKey, response);
-}
-
-void
-Router::completeFlight(const std::string &cacheKey,
-                       const JsonValue &response)
-{
-    const std::vector<SingleFlight::Waiter> waiters =
-        singleFlight_.complete(cacheKey);
-    for (const SingleFlight::Waiter &waiter : waiters)
-        respond(waiter.conn,
-                restampResponseId(response, waiter.request->id),
-                false);
+    frontend_.recordLatency(
+        std::chrono::duration_cast<std::chrono::microseconds>(
+            std::chrono::steady_clock::now() - begin));
+    // Only a backend's answer may be cached, tagged with that
+    // backend's current epoch.
+    if (servedBy < backends_.size())
+        cacheTag = this->cacheTag(servedBy);
+    return response;
 }
 
 std::uint64_t
@@ -945,10 +426,7 @@ Router::forwardToFleet(const std::string &key,
                 if (!backend.draining.exchange(true))
                     bumpEpoch(index);
                 excluded[index] = true;
-                {
-                    std::lock_guard<std::mutex> stats(statsMutex_);
-                    ++reroutes_;
-                }
+                ++reroutes_;
                 lastError = "backend draining: " +
                             backend.endpoint.describe();
                 continue;
@@ -958,7 +436,6 @@ Router::forwardToFleet(const std::string &key,
             return response;
         }
         excluded[index] = true;
-        std::lock_guard<std::mutex> stats(statsMutex_);
         ++reroutes_;
     }
     return makeErrorResponse(requestId, kCodeInternal, "no-backend",
@@ -966,125 +443,14 @@ Router::forwardToFleet(const std::string &key,
                                  lastError);
 }
 
-void
-Router::respond(EventLoop::ConnId id, const JsonValue &response,
-                bool shutdownAfterSend)
-{
-    {
-        std::lock_guard<std::mutex> stats(statsMutex_);
-        const JsonValue *type = response.find("type");
-        if (type != nullptr && type->string == "error")
-            ++errors_;
-        else
-            ++completed_;
-    }
-    loop_->send(id, writeJson(response) + "\n");
-    if (shutdownAfterSend)
-        requestShutdown();
-    dispatchNext(id);
-}
-
-void
-Router::dispatchNext(EventLoop::ConnId id)
-{
-    std::string next;
-    bool have = false;
-    bool resume = false;
-    {
-        std::lock_guard<std::mutex> lock(connMutex_);
-        const auto it = connStates_.find(id);
-        if (it == connStates_.end())
-            return;
-        ConnState &state = it->second;
-        if (state.pending.empty()) {
-            state.busy = false;
-        } else {
-            next = std::move(state.pending.front());
-            state.pending.pop_front();
-            have = true;
-            if (state.paused &&
-                state.pending.size() <= kResumePendingLines) {
-                state.paused = false;
-                resume = true;
-            }
-        }
-    }
-    if (resume)
-        loop_->resumeReads(id);
-    if (have)
-        pipeline_->submit([this, id, captured = std::move(next)]() {
-            processLine(id, captured);
-        });
-}
-
 // ---------------------------------------------------------------------------
-// Quick requests + the fleet report
-
-JsonValue
-Router::handleQuick(const Request &request, bool &shutdownAfterSend)
-{
-    switch (request.type) {
-      case RequestType::Ping: {
-        JsonValue out = makeResponse("pong", request.id, kCodeOk);
-        Health health;
-        health.ok = true;
-        const Admission::Snapshot gate = admission_.snapshot();
-        health.draining = gate.draining;
-        health.inflight = gate.inflight;
-        health.queued = gate.queued;
-        health.maxInflight = gate.maxInflight;
-        health.queueCapacity = gate.queueCapacity;
-        health.uptimeMs = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                std::chrono::steady_clock::now() - startTime_)
-                .count());
-        {
-            std::lock_guard<std::mutex> stats(statsMutex_);
-            health.requestCount = latency_.count();
-            health.p50Ms = latency_.quantileMs(0.50);
-            health.p99Ms = latency_.quantileMs(0.99);
-        }
-        if (responseCache_ != nullptr) {
-            const ResponseCache::Stats rc = responseCache_->stats();
-            health.responseCacheEntries = rc.entries;
-            const std::uint64_t probes = rc.hits + rc.misses;
-            health.responseCacheHitRate =
-                probes != 0 ? static_cast<double>(rc.hits) /
-                                  static_cast<double>(probes)
-                            : 0.0;
-        }
-        health.coalescedInflight = singleFlight_.waiting();
-        out.set("health", healthToJson(health));
-        return out;
-      }
-      case RequestType::Stats: {
-        JsonValue out = makeResponse("stats", request.id, kCodeOk);
-        out.set("stats", fleetStatsJson());
-        return out;
-      }
-      case RequestType::Shutdown:
-        // Drain the router only: backends keep serving — a rolling
-        // restart replaces one process at a time.
-        shutdownAfterSend = true;
-        return makeResponse("shutdown-ack", request.id, kCodeOk);
-      case RequestType::Map:
-      case RequestType::Net:
-        break;
-    }
-    return makeErrorResponse(request.id, kCodeInternal, "internal",
-                             "unreachable request type");
-}
+// The fleet report
 
 JsonValue
 Router::fleetStatsJson()
 {
     JsonValue out = JsonValue::makeObject();
-    const auto uptime =
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            std::chrono::steady_clock::now() - startTime_);
-    out.set("uptimeMs",
-            JsonValue::makeU64(
-                static_cast<std::uint64_t>(uptime.count())));
+    out.set("uptimeMs", JsonValue::makeU64(frontend_.uptimeMs()));
 
     // Stats sweep over the healthy backends. A backend that fails
     // the sweep is marked unhealthy and reported without stats.
@@ -1110,21 +476,19 @@ Router::fleetStatsJson()
         }
     }
 
-    const Admission::Snapshot gate = admission_.snapshot();
+    const Frontend::Counters counters = frontend_.counters();
+    const Admission::Snapshot gate = frontend_.admission();
     unsigned healthyCount = 0;
     for (const auto &backend : backends_)
         if (backend->healthy.load())
             ++healthyCount;
     JsonValue router = JsonValue::makeObject();
-    {
-        std::lock_guard<std::mutex> stats(statsMutex_);
-        router.set("received", JsonValue::makeU64(received_));
-        router.set("completed", JsonValue::makeU64(completed_));
-        router.set("errors", JsonValue::makeU64(errors_));
-        router.set("connectionsAccepted",
-                   JsonValue::makeU64(connectionsAccepted_));
-        router.set("reroutes", JsonValue::makeU64(reroutes_));
-    }
+    router.set("received", JsonValue::makeU64(counters.received));
+    router.set("completed", JsonValue::makeU64(counters.completed));
+    router.set("errors", JsonValue::makeU64(counters.errors));
+    router.set("connectionsAccepted",
+               JsonValue::makeU64(counters.connectionsAccepted));
+    router.set("reroutes", JsonValue::makeU64(reroutes_.load()));
     router.set("inflight", JsonValue::makeU64(gate.inflight));
     router.set("queued", JsonValue::makeU64(gate.queued));
     router.set("maxForwards", JsonValue::makeU64(gate.maxInflight));
@@ -1138,44 +502,11 @@ Router::fleetStatsJson()
     router.set("backendsHealthy", JsonValue::makeU64(healthyCount));
     router.set("backendsTotal",
                JsonValue::makeU64(backends_.size()));
-
-    // The router's own response cache + single-flight gauges (zeros
-    // when disabled), mirroring the daemon's block shape.
-    JsonValue routerCache = JsonValue::makeObject();
-    routerCache.set("enabled",
-                    JsonValue::makeBool(responseCache_ != nullptr));
-    ResponseCache::Stats rc;
-    if (responseCache_ != nullptr)
-        rc = responseCache_->stats();
-    routerCache.set("hits", JsonValue::makeU64(rc.hits));
-    routerCache.set("misses", JsonValue::makeU64(rc.misses));
-    routerCache.set("evictions", JsonValue::makeU64(rc.evictions));
-    routerCache.set("entries", JsonValue::makeU64(rc.entries));
-    routerCache.set("capacity",
-                    JsonValue::makeU64(
-                        responseCache_ != nullptr
-                            ? responseCache_->capacity()
-                            : 0));
-    const std::uint64_t rcProbes = rc.hits + rc.misses;
-    routerCache.set(
-        "hitRate",
-        JsonValue::makeDouble(
-            rcProbes != 0 ? static_cast<double>(rc.hits) /
-                                static_cast<double>(rcProbes)
-                          : 0.0));
-    routerCache.set("coalesced",
-                    JsonValue::makeU64(singleFlight_.coalesced()));
-    routerCache.set("coalescedWaiting",
-                    JsonValue::makeU64(singleFlight_.waiting()));
-    routerCache.set("flights",
-                    JsonValue::makeU64(singleFlight_.flights()));
-    router.set("responseCache", std::move(routerCache));
+    // The router's own response cache + single-flight gauges, in the
+    // daemon's block shape.
+    router.set("responseCache", frontend_.responseCacheJson());
     out.set("router", std::move(router));
-
-    {
-        std::lock_guard<std::mutex> stats(statsMutex_);
-        out.set("latency", latency_.toJson());
-    }
+    out.set("latency", frontend_.latencyJson());
 
     // Per-backend gauges; a dead backend contributes its name and
     // healthy:false, nothing else.
@@ -1294,13 +625,8 @@ Router::fleetStatsJson()
     fleetCache.set("misses", JsonValue::makeU64(cacheMisses));
     fleetCache.set("evictions", JsonValue::makeU64(cacheEvictions));
     fleetCache.set("capacity", JsonValue::makeU64(cacheCapacity));
-    const std::uint64_t probes = cacheHits + cacheMisses;
-    fleetCache.set("hitRate",
-                   JsonValue::makeDouble(
-                       probes != 0
-                           ? static_cast<double>(cacheHits) /
-                                 static_cast<double>(probes)
-                           : 0.0));
+    fleetCache.set("hitRate", JsonValue::makeDouble(
+                                  hitRate(cacheHits, cacheMisses)));
     fleet.set("evalCache", std::move(fleetCache));
 
     JsonValue fleetMemo = JsonValue::makeObject();
@@ -1316,13 +642,8 @@ Router::fleetStatsJson()
     fleetResp.set("evictions", JsonValue::makeU64(respEvictions));
     fleetResp.set("entries", JsonValue::makeU64(respEntries));
     fleetResp.set("capacity", JsonValue::makeU64(respCapacity));
-    const std::uint64_t respProbes = respHits + respMisses;
-    fleetResp.set(
-        "hitRate",
-        JsonValue::makeDouble(
-            respProbes != 0 ? static_cast<double>(respHits) /
-                                  static_cast<double>(respProbes)
-                            : 0.0));
+    fleetResp.set("hitRate",
+                  JsonValue::makeDouble(hitRate(respHits, respMisses)));
     fleetResp.set("coalesced", JsonValue::makeU64(respCoalesced));
     fleetResp.set("coalescedWaiting",
                   JsonValue::makeU64(respWaiting));
@@ -1350,12 +671,6 @@ Router::fleetStatsJson()
     fleet.set("strategies", std::move(fleetStrategies));
     out.set("fleet", std::move(fleet));
     return out;
-}
-
-void
-Router::logLine(const std::string &line) const
-{
-    std::cerr << line << std::endl;
 }
 
 } // namespace serve

@@ -32,33 +32,29 @@
  * contribute nothing. "ping" answers with the router's own health.
  * "shutdown" drains the router only — backends keep serving, which
  * is what a rolling restart wants.
+ *
+ * The router is the daemon's serving frontend (frontend.hpp) with a
+ * forwarding handler: the same listener, pipeline, response cache,
+ * admission and drain, with forwards in place of searches. Its cache
+ * entries are tagged with the owning backend's health epoch, and its
+ * drain waits out inflight forwards instead of cancelling them.
  */
 
 #ifndef RUBY_SERVE_ROUTER_HPP
 #define RUBY_SERVE_ROUTER_HPP
 
-#include <array>
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "ruby/common/thread_pool.hpp"
-#include "ruby/serve/admission.hpp"
 #include "ruby/serve/client.hpp"
-#include "ruby/serve/event_loop.hpp"
-#include "ruby/serve/json.hpp"
-#include "ruby/serve/latency_histogram.hpp"
-#include "ruby/serve/protocol.hpp"
-#include "ruby/serve/response_cache.hpp"
+#include "ruby/serve/frontend.hpp"
 
 namespace ruby
 {
@@ -101,15 +97,14 @@ class ConsistentRing
     std::vector<std::pair<std::uint64_t, std::size_t>> ring_;
 };
 
-/** Router configuration. */
-struct RouterOptions
+/** Router configuration; the front socket, queue, response cache and
+ *  drain budget come from FrontendOptions. Router cache entries are
+ *  invalidated when the owning backend health-flaps (per-backend
+ *  epoch), so a restarted shard never serves stale bytes. */
+struct RouterOptions : FrontendOptions
 {
-    /** Front unix-domain socket path; preferred when non-empty. */
-    std::string unixPath;
-    /** Front TCP bind address (used when unixPath is empty). */
-    std::string host = "127.0.0.1";
-    /** Front TCP port; 0 binds an ephemeral port. */
-    int port = 0;
+    /** A router queues deeper than a daemon by default. */
+    RouterOptions() { queueCapacity = 64; }
 
     /** Backend daemons (at least one). */
     std::vector<Endpoint> backends;
@@ -125,32 +120,12 @@ struct RouterOptions
 
     /** Concurrent forwarding threads. */
     unsigned maxForwards = 8;
-    /** Requests allowed to wait for a forwarding slot. */
-    std::size_t queueCapacity = 64;
 
     /** Forwarding retry schedule (re-dial drops, back off on
      *  "saturated"; "draining" re-routes instead). */
     RetryPolicy retry{3, std::chrono::milliseconds{10'000},
                       std::chrono::milliseconds{50},
                       std::chrono::milliseconds{2'000}, 1};
-
-    /** Serve repeats of deterministic requests at the router, without
-     *  touching a backend; coalesce identical inflight forwards.
-     *  Entries are invalidated when the owning backend health-flaps
-     *  (per-backend epoch), so a restarted shard never serves stale
-     *  bytes. */
-    bool responseCache = true;
-    /** Router response-cache capacity (entries). */
-    std::size_t responseCacheCapacity = 1024;
-
-    /** Grace period for inflight forwards on drain. */
-    std::chrono::milliseconds drainBudget{10'000};
-
-    /** Maximum accepted request-line length in bytes. */
-    std::size_t maxLineBytes = 4u << 20;
-
-    /** Lifecycle log lines on stderr. */
-    bool logLifecycle = true;
 };
 
 /**
@@ -158,11 +133,11 @@ struct RouterOptions
  * start() -> requestShutdown() (or installSignalDrain) ->
  * waitForShutdown().
  */
-class Router
+class Router : private Frontend::Handler
 {
   public:
     explicit Router(RouterOptions options);
-    ~Router();
+    ~Router() override;
 
     Router(const Router &) = delete;
     Router &operator=(const Router &) = delete;
@@ -170,14 +145,20 @@ class Router
     void start();
 
     /** Bound front TCP port (0 for unix sockets). */
-    int port() const { return boundPort_; }
+    int port() const { return frontend_.port(); }
 
-    void requestShutdown();
-    bool shutdownRequested() const;
+    void requestShutdown() { frontend_.requestShutdown(); }
+    bool shutdownRequested() const
+    {
+        return frontend_.shutdownRequested();
+    }
     void waitForShutdown();
 
     /** Route SIGTERM/SIGINT to @p router's requestShutdown(). */
-    static void installSignalDrain(Router &router);
+    static void installSignalDrain(Router &router)
+    {
+        Frontend::installSignalDrain(router.frontend_);
+    }
 
     /** The aggregated fleet report served to "stats" (thread-safe;
      *  queries every healthy backend inline). */
@@ -210,37 +191,13 @@ class Router
         std::vector<Client> pool;
     };
 
-    /** Per-connection dispatch state (guarded by connMutex_). */
-    struct ConnState
-    {
-        std::deque<std::string> pending;
-        bool busy = false;
-        bool paused = false;
-    };
+    // Frontend::Handler: forward to the fleet.
+    JsonValue handle(const Request &request, const std::string &line,
+                     std::optional<std::uint64_t> &cacheTag) override;
+    bool cacheTagValid(std::uint64_t tag) const override;
+    JsonValue stats() override { return fleetStatsJson(); }
+    void drainBudgetExpired() override;
 
-    void bindListener();
-
-    // Reactor callbacks.
-    void onConnect(EventLoop::ConnId id);
-    void onLine(EventLoop::ConnId id, std::string &&line);
-    void onOversize(EventLoop::ConnId id);
-    void onDisconnect(EventLoop::ConnId id);
-
-    void processLine(EventLoop::ConnId id, const std::string &line);
-    /** Cache/coalesce, then admission, for a map/net request. */
-    void dispatchForward(EventLoop::ConnId id,
-                         std::shared_ptr<Request> request,
-                         std::shared_ptr<std::string> rawLine);
-    /** Admission outcome for the flight leader. @p cacheKey is the
-     *  response-cache key ("" = uncacheable). */
-    void admitForward(EventLoop::ConnId id,
-                      std::shared_ptr<Request> request,
-                      std::shared_ptr<std::string> rawLine,
-                      std::string cacheKey);
-    void runForward(EventLoop::ConnId id,
-                    const std::shared_ptr<Request> &request,
-                    const std::shared_ptr<std::string> &rawLine,
-                    const std::string &cacheKey);
     /** Forward @p line for @p key, failing over across backends.
      *  @p servedBy gets the index of the backend that answered
      *  (backends.size() when none did). */
@@ -248,21 +205,10 @@ class Router
                              const std::string &requestId,
                              const std::string &line,
                              std::size_t &servedBy);
-    /** Deliver @p response to every follower of @p cacheKey. */
-    void completeFlight(const std::string &cacheKey,
-                        const JsonValue &response);
     /** Epoch tag for a cache entry owned by backend @p index. */
     std::uint64_t cacheTag(std::size_t index) const;
-    /** Does @p tag still match its backend's current epoch? */
-    bool cacheTagValid(std::uint64_t tag) const;
     /** Bump @p index's epoch (call on every health transition). */
     void bumpEpoch(std::size_t index);
-    void respond(EventLoop::ConnId id, const JsonValue &response,
-                 bool shutdownAfterSend);
-    void dispatchNext(EventLoop::ConnId id);
-
-    JsonValue handleQuick(const Request &request,
-                          bool &shutdownAfterSend);
 
     /** Pick a backend for @p key: healthy, not excluded, within the
      *  load bound (any healthy non-excluded one when all are over).
@@ -278,53 +224,14 @@ class Router
     void healthLoop();
     void checkBackend(std::size_t index);
 
-    void logLine(const std::string &line) const;
-
     RouterOptions options_;
     std::unique_ptr<ConsistentRing> ring_;
     std::vector<std::unique_ptr<BackendState>> backends_;
+    std::atomic<std::uint64_t> reroutes_{0};
 
-    /** Raw backend response lines for deterministic repeats (null
-     *  when --no-response-cache). */
-    std::unique_ptr<ResponseCache> responseCache_;
-    SingleFlight singleFlight_;
-
-    Admission admission_;
-    std::unique_ptr<ThreadPool> forwarders_;
-    /** One-thread parse/dispatch stage (mirrors Server). */
-    std::unique_ptr<ThreadPool> pipeline_;
-
-    std::unique_ptr<EventLoop> loop_;
-    std::thread reactorThread_;
+    /** After the state above: its threads stop before that goes. */
+    Frontend frontend_;
     std::thread healthThread_;
-    std::thread signalThread_;
-
-    int listenFd_ = -1;
-    int boundPort_ = 0;
-    std::array<int, 2> sigPipe_{-1, -1};
-
-    mutable std::mutex mutex_;
-    std::condition_variable shutdownCv_;
-    bool started_ = false;
-    bool shutdownRequested_ = false;
-    bool drained_ = false;
-
-    /** Wakes the health thread early on shutdown. */
-    std::mutex healthMutex_;
-    std::condition_variable healthCv_;
-
-    mutable std::mutex connMutex_;
-    std::unordered_map<EventLoop::ConnId, ConnState> connStates_;
-
-    std::chrono::steady_clock::time_point startTime_;
-
-    mutable std::mutex statsMutex_;
-    std::uint64_t received_ = 0;
-    std::uint64_t completed_ = 0;
-    std::uint64_t errors_ = 0;
-    std::uint64_t connectionsAccepted_ = 0;
-    std::uint64_t reroutes_ = 0;
-    LatencyHistogram latency_;
 };
 
 } // namespace serve

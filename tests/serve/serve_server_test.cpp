@@ -2,21 +2,19 @@
  * @file
  * End-to-end daemon tests over real sockets: remote-equals-offline
  * bit-identity for every strategy on the Eyeriss and Simba presets,
- * concurrent requests sharing the warm eval cache, admission rejects,
- * per-request deadlines, and the SIGTERM drain. All tests run the
- * server in-process so they also execute under TSan.
+ * concurrent requests sharing the warm eval cache, per-request
+ * deadlines, and the SIGTERM drain (the contract both serving tiers
+ * share lives in frontend_test.cpp). All tests run the server
+ * in-process so they also execute under TSan.
  */
 
 #include <gtest/gtest.h>
 
 #include <signal.h>
-#include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -327,60 +325,6 @@ TEST(ServeServer, RoutedNetMatchesOfflineBitForBit)
     }
 }
 
-TEST(ServeServer, StaleUnixSocketIsRecoveredLiveOneIsNot)
-{
-    const std::string path =
-        "/tmp/ruby-serve-stale-" + std::to_string(::getpid()) +
-        ".sock";
-    ::unlink(path.c_str());
-
-    // A crashed daemon leaves the socket file behind with nobody
-    // listening: the next start must unlink and rebind it.
-    {
-        ServeOptions options;
-        options.unixPath = path;
-        options.logLifecycle = false;
-        Server first(options);
-        first.start();
-        first.requestShutdown();
-        first.waitForShutdown();
-    }
-    // waitForShutdown unlinks; recreate the stale file the way a
-    // SIGKILLed daemon would leave it — bound once, never unlinked.
-    {
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-        ASSERT_GE(fd, 0);
-        sockaddr_un addr{};
-        addr.sun_family = AF_UNIX;
-        std::snprintf(addr.sun_path, sizeof(addr.sun_path), "%s",
-                      path.c_str());
-        ASSERT_EQ(::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-                         sizeof(addr)),
-                  0);
-        ::close(fd); // file stays behind, nobody listens
-    }
-
-    ServeOptions options;
-    options.unixPath = path;
-    options.logLifecycle = false;
-    Server server(options);
-    server.start(); // must recover the stale path
-
-    // A *live* daemon on the path is an operator error, not
-    // something to steal: a second start must throw and must not
-    // unlink the live socket.
-    {
-        Server thief(options);
-        EXPECT_THROW(thief.start(), Error);
-    }
-    Client client = Client::connectUnix(path);
-    EXPECT_TRUE(client.ping().ok);
-
-    server.requestShutdown();
-    server.waitForShutdown();
-    ::unlink(path.c_str());
-}
-
 TEST(ServeServer, TcpPortRebindsImmediatelyAfterDrain)
 {
     // SO_REUSEADDR on the listener: a restarted daemon must be able
@@ -672,57 +616,6 @@ TEST(ServeServer, SingleFlightCoalescesConcurrentIdenticalRequests)
     server.waitForShutdown();
 }
 
-TEST(ServeServer, SaturatedQueueRejectsWithCode7)
-{
-    ServeOptions options = tcpOptions();
-    options.maxInflight = 1;
-    options.queueCapacity = 0;
-    Server server(options);
-    server.start();
-
-    // Occupy the only slot with a search that runs ~2s (impossible
-    // arch + unbounded search: only the budget ends it).
-    SearchOptions slow = quickOptions(SearchStrategy::Random);
-    slow.maxEvaluations = 0;
-    slow.timeBudget = milliseconds(2000);
-    std::thread slowCall([&]() {
-        Client client =
-            Client::connectTcp("127.0.0.1", server.port());
-        const JsonValue response = client.call(encodeRequest(
-            mapRequest("slow", kImpossibleConfig, slow)));
-        EXPECT_EQ(response.at("code").asU64(),
-                  static_cast<std::uint64_t>(kCodeDeadline))
-            << writeJson(response);
-    });
-
-    // Wait until the slow request holds the slot.
-    while (server.statsJson()
-               .at("requests")
-               .at("inflight")
-               .asU64() == 0)
-        std::this_thread::sleep_for(milliseconds(5));
-
-    Client client = Client::connectTcp("127.0.0.1", server.port());
-    const JsonValue rejected = client.call(encodeRequest(
-        mapRequest("over", kQuickConfig,
-                   quickOptions(SearchStrategy::Random))));
-    EXPECT_EQ(rejected.at("type").asString(), "error");
-    EXPECT_EQ(rejected.at("code").asU64(),
-              static_cast<std::uint64_t>(kCodeRejected));
-    EXPECT_EQ(rejected.at("kind").asString(), "saturated");
-
-    slowCall.join();
-
-    // Rejections do not poison the daemon: the next request runs.
-    const JsonValue ok = client.call(encodeRequest(
-        mapRequest("after", kQuickConfig,
-                   quickOptions(SearchStrategy::Random))));
-    EXPECT_EQ(ok.at("code").asU64(), 0u) << writeJson(ok);
-
-    server.requestShutdown();
-    server.waitForShutdown();
-}
-
 TEST(ServeServer, DeadlineExpiryIsPerRequest)
 {
     ServeOptions options = tcpOptions();
@@ -825,35 +718,6 @@ TEST(ServeServer, ShutdownRequestAcksThenDrains)
     server.waitForShutdown();
     EXPECT_THROW(Client::connectTcp("127.0.0.1", server.port()),
                  Error);
-}
-
-TEST(ServeServer, MalformedLinesGetStructuredErrors)
-{
-    Server server(tcpOptions());
-    server.start();
-    Client client = Client::connectTcp("127.0.0.1", server.port());
-
-    // Not JSON at all.
-    JsonValue response = parseJson(client.callRaw("not json"));
-    EXPECT_EQ(response.at("type").asString(), "error");
-    EXPECT_EQ(response.at("code").asU64(),
-              static_cast<std::uint64_t>(kCodeBadRequest));
-
-    // Valid JSON, bad request shape — id still echoed back.
-    response = parseJson(
-        client.callRaw(R"({"v":1,"type":"map","id":"x9"})"));
-    EXPECT_EQ(response.at("type").asString(), "error");
-    EXPECT_EQ(response.at("id").asString(), "x9");
-
-    // The session survives malformed lines.
-    Request ping;
-    ping.type = RequestType::Ping;
-    ping.id = "still-alive";
-    const JsonValue pong = client.call(encodeRequest(ping));
-    EXPECT_EQ(pong.at("type").asString(), "pong");
-
-    server.requestShutdown();
-    server.waitForShutdown();
 }
 
 TEST(ServeServer, StatsReportStrategyThroughputAndMemo)

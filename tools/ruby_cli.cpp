@@ -75,6 +75,7 @@
  * Unknown flags on any subcommand exit 2 with the usage text.
  */
 
+#include <algorithm>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -555,6 +556,50 @@ runSuites(const std::vector<std::string> &args)
     return kExitOk;
 }
 
+/**
+ * Consume one front-socket flag shared by `serve` and `route`:
+ * --unix, --host, --port, --queue-capacity, --drain-budget,
+ * --[no-]response-cache, --response-cache-capacity, --quiet.
+ * Returns false when the flag is not one of them.
+ */
+bool
+applyFrontendFlag(const std::string &flag,
+                  serve::FrontendOptions &options,
+                  const std::vector<std::string> &args, std::size_t &i)
+{
+    auto next = [&]() -> const std::string & {
+        RUBY_CHECK(i + 1 < args.size(), flag, " expects an argument");
+        return args[++i];
+    };
+    if (flag == "--unix")
+        options.unixPath = next();
+    else if (flag == "--host")
+        options.host = next();
+    else if (flag == "--port")
+        // Clamped, not truncated: the bind rejects anything past
+        // 65535 instead of wrapping it onto some other port.
+        options.port = static_cast<int>(
+            std::min<std::uint64_t>(parseU64Arg(flag, next()), 65536));
+    else if (flag == "--queue-capacity")
+        options.queueCapacity =
+            static_cast<std::size_t>(parseU64Arg(flag, next()));
+    else if (flag == "--drain-budget")
+        options.drainBudget =
+            std::chrono::milliseconds(parseU64Arg(flag, next()));
+    else if (flag == "--response-cache")
+        options.responseCache = true;
+    else if (flag == "--no-response-cache")
+        options.responseCache = false;
+    else if (flag == "--response-cache-capacity")
+        options.responseCacheCapacity =
+            static_cast<std::size_t>(parseU64Arg(flag, next()));
+    else if (flag == "--quiet")
+        options.logLifecycle = false;
+    else
+        return false;
+    return true;
+}
+
 int
 runServe(const std::vector<std::string> &args)
 {
@@ -566,34 +611,14 @@ runServe(const std::vector<std::string> &args)
                        " expects an argument");
             return args[++i];
         };
-        if (flag == "--unix")
-            options.unixPath = next();
-        else if (flag == "--host")
-            options.host = next();
-        else if (flag == "--port")
-            options.port =
-                static_cast<int>(parseU64Arg(flag, next()));
-        else if (flag == "--max-inflight")
+        if (applyFrontendFlag(flag, options, args, i))
+            continue;
+        if (flag == "--max-inflight")
             options.maxInflight =
                 static_cast<unsigned>(parseU64Arg(flag, next()));
-        else if (flag == "--queue-capacity")
-            options.queueCapacity =
-                static_cast<std::size_t>(parseU64Arg(flag, next()));
-        else if (flag == "--drain-budget")
-            options.drainBudget =
-                std::chrono::milliseconds(parseU64Arg(flag, next()));
         else if (flag == "--cache-capacity")
             options.evalCacheCapacity =
                 static_cast<std::size_t>(parseU64Arg(flag, next()));
-        else if (flag == "--response-cache")
-            options.responseCache = true;
-        else if (flag == "--no-response-cache")
-            options.responseCache = false;
-        else if (flag == "--response-cache-capacity")
-            options.responseCacheCapacity =
-                static_cast<std::size_t>(parseU64Arg(flag, next()));
-        else if (flag == "--quiet")
-            options.logLifecycle = false;
         else
             unknownFlag(flag);
     }
@@ -643,15 +668,10 @@ runRoute(const std::vector<std::string> &args)
                        " expects an argument");
             return args[++i];
         };
+        if (applyFrontendFlag(flag, options, args, i))
+            continue;
         if (flag == "--backend")
             options.backends.push_back(parseBackendSpec(next()));
-        else if (flag == "--unix")
-            options.unixPath = next();
-        else if (flag == "--host")
-            options.host = next();
-        else if (flag == "--port")
-            options.port =
-                static_cast<int>(parseU64Arg(flag, next()));
         else if (flag == "--replicas")
             options.replicas =
                 static_cast<unsigned>(parseU64Arg(flag, next()));
@@ -667,9 +687,6 @@ runRoute(const std::vector<std::string> &args)
         else if (flag == "--forwarders")
             options.maxForwards =
                 static_cast<unsigned>(parseU64Arg(flag, next()));
-        else if (flag == "--queue-capacity")
-            options.queueCapacity =
-                static_cast<std::size_t>(parseU64Arg(flag, next()));
         else if (flag == "--retry") {
             options.retry.attempts =
                 static_cast<int>(parseU64Arg(flag, next()));
@@ -678,18 +695,6 @@ runRoute(const std::vector<std::string> &args)
         } else if (flag == "--retry-budget")
             options.retry.budget =
                 std::chrono::milliseconds(parseU64Arg(flag, next()));
-        else if (flag == "--drain-budget")
-            options.drainBudget =
-                std::chrono::milliseconds(parseU64Arg(flag, next()));
-        else if (flag == "--response-cache")
-            options.responseCache = true;
-        else if (flag == "--no-response-cache")
-            options.responseCache = false;
-        else if (flag == "--response-cache-capacity")
-            options.responseCacheCapacity =
-                static_cast<std::size_t>(parseU64Arg(flag, next()));
-        else if (flag == "--quiet")
-            options.logLifecycle = false;
         else
             unknownFlag(flag);
     }
