@@ -170,20 +170,6 @@ BM_EvaluateStagedPruned(benchmark::State &state)
 BENCHMARK(BM_EvaluateStagedPruned);
 
 void
-BM_MappingFingerprint(benchmark::State &state)
-{
-    const MappingConstraints cons =
-        MappingConstraints::eyerissRowStationary(resnetLayer(),
-                                                 eyeriss());
-    const Mapspace space(cons, MapspaceVariant::RubyS);
-    Rng rng(4);
-    const Mapping mapping = space.sample(rng);
-    for (auto _ : state)
-        benchmark::DoNotOptimize(mappingFingerprint(mapping));
-}
-BENCHMARK(BM_MappingFingerprint);
-
-void
 BM_SampleAndEvaluate(benchmark::State &state)
 {
     const MappingConstraints cons =
@@ -280,15 +266,13 @@ runBaseline(const Evaluator &eval, const Mapspace &space,
     return out;
 }
 
-/** Fast path: scratch + staged pruning + memo cache, as the search
- *  loop runs it. */
+/** Fast path: scratch + staged pruning, as the search loop runs it. */
 Throughput
 runFastPath(const Evaluator &eval, const Mapspace &space,
             std::size_t n, std::size_t chunkSize)
 {
     Throughput out;
     EvalScratch scratch;
-    EvalCache cache;
     Rng rng(kCandidateSeed);
     std::vector<Mapping> chunk;
     chunk.reserve(chunkSize);
@@ -298,7 +282,7 @@ runFastPath(const Evaluator &eval, const Mapspace &space,
         const auto start = std::chrono::steady_clock::now();
         for (const Mapping &m : chunk) {
             // Same staging and ordering as the search loop: validity,
-            // lower bound, memo cache, full model.
+            // lower bound, full model.
             if (!eval.checkValidity(m, scratch, false)) {
                 ++out.stats.invalid;
                 continue;
@@ -308,20 +292,10 @@ runFastPath(const Evaluator &eval, const Mapspace &space,
                 ++out.stats.prunedBound;
                 continue;
             }
-            const FingerprintPair fp = mappingFingerprintPair(m);
-            CachedEval cached;
-            if (cache.lookup(fp.key, fp.verify, cached) &&
-                cached.valid &&
-                cached.objective >= out.bestObjective) {
-                ++out.stats.cacheHits;
-                continue;
-            }
-            ++out.stats.cacheMisses;
             eval.modelValidated(m, scratch);
             ++out.stats.modeled;
             const double metric =
                 scratch.result.objective(Objective::EDP);
-            cache.insert(fp.key, fp.verify, CachedEval{metric, true});
             if (metric < out.bestObjective)
                 out.bestObjective = metric;
         }
@@ -330,19 +304,17 @@ runFastPath(const Evaluator &eval, const Mapspace &space,
                        .count();
     }
     out.evalsPerSec = static_cast<double>(n) / elapsed;
-    out.stats.cacheEvictions = cache.stats().evictions;
     return out;
 }
 
-/** Batched SoA stages + the same cache/model consume order as the
- *  fast path; decisions (and therefore the best) are identical. */
+/** Batched SoA stages + the same model consume order as the fast
+ *  path; decisions (and therefore the best) are identical. */
 Throughput
 runBatched(const Evaluator &eval, const Mapspace &space,
            std::size_t n, std::size_t k)
 {
     Throughput out;
     EvalScratch scratch;
-    EvalCache cache;
     BatchEvaluator batch(eval);
     Rng rng(kCandidateSeed);
     std::vector<Mapping> chunk;
@@ -368,21 +340,11 @@ runBatched(const Evaluator &eval, const Mapspace &space,
                 ++out.stats.prunedBound;
                 continue;
             }
-            const FingerprintPair fp = mappingFingerprintPair(m);
-            CachedEval cached;
-            if (cache.lookup(fp.key, fp.verify, cached) &&
-                cached.valid &&
-                cached.objective >= out.bestObjective) {
-                ++out.stats.cacheHits;
-                continue;
-            }
-            ++out.stats.cacheMisses;
             batch.prepareScratch(j, scratch);
             eval.modelValidated(m, scratch);
             ++out.stats.modeled;
             const double metric =
                 scratch.result.objective(Objective::EDP);
-            cache.insert(fp.key, fp.verify, CachedEval{metric, true});
             if (metric < out.bestObjective)
                 out.bestObjective = metric;
         }
@@ -391,7 +353,6 @@ runBatched(const Evaluator &eval, const Mapspace &space,
                        .count();
     }
     out.evalsPerSec = static_cast<double>(n) / elapsed;
-    out.stats.cacheEvictions = cache.stats().evictions;
     return out;
 }
 
@@ -483,10 +444,7 @@ writeThroughputReport(const char *path, std::size_t n)
          << "  \"fastpath_stages\": {\n"
          << "    \"invalid\": " << fast.stats.invalid << ",\n"
          << "    \"pruned_bound\": " << fast.stats.prunedBound << ",\n"
-         << "    \"modeled\": " << fast.stats.modeled << ",\n"
-         << "    \"cache_hits\": " << fast.stats.cacheHits << ",\n"
-         << "    \"cache_evictions\": " << fast.stats.cacheEvictions
-         << "\n"
+         << "    \"modeled\": " << fast.stats.modeled << "\n"
          << "  },\n"
          << "  \"batch_sweep\": [\n";
     for (std::size_t i = 0; i < sweep.size(); ++i) {

@@ -8,8 +8,7 @@
  * scaling on top of it. Every point also records whether the best
  * EDP stayed bit-identical to the baseline (it must: the parallel
  * searches are deterministic at fixed topology and the delta engine
- * is an exact recomputation), the eval-cache hit rate, and the
- * delta-hit rate.
+ * is an exact recomputation) and the delta-hit rate.
  *
  * Writes BENCH_search_scaling.json next to the working directory.
  * `--full` (or RUBY_BENCH_FULL=1) enlarges the budgets and sets the
@@ -71,7 +70,6 @@ struct RunPoint
     double speedup = 1.0; ///< baseline wall / this wall
     double bestEdp = 0.0;
     bool parity = true; ///< best EDP identical to the baseline run
-    double cacheHitRate = 0.0;
     double deltaHitRate = 0.0;
     std::uint64_t deltaHits = 0;
     std::uint64_t deltaFallbacks = 0;
@@ -126,9 +124,6 @@ sweepThreads(Fn &&run, bool incremental, int reps)
                 p.wallMs = ms;
         }
         p.bestEdp = out.bestEdp;
-        p.cacheHitRate = ratio(out.stats.cacheHits,
-                               out.stats.cacheHits +
-                                   out.stats.cacheMisses);
         p.deltaHitRate =
             ratio(out.stats.deltaHits, out.stats.deltaAttempts);
         p.deltaHits = out.stats.deltaHits;
@@ -170,7 +165,6 @@ emitSeries(std::ofstream &json, const char *name,
              << ", \"speedup\": " << p.speedup
              << ", \"best_edp\": " << p.bestEdp << ", \"parity\": "
              << (p.parity ? "true" : "false")
-             << ", \"cache_hit_rate\": " << p.cacheHitRate
              << ", \"delta_hit_rate\": " << p.deltaHitRate
              << ", \"delta_hits\": " << p.deltaHits
              << ", \"delta_fallbacks\": " << p.deltaFallbacks << "}"

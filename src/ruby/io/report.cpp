@@ -106,10 +106,6 @@ printNetworkSummary(std::ostream &os, const NetworkOutcome &net)
        << " invalid, "
        << formatCompact(static_cast<double>(net.stats.prunedBound))
        << " bound-pruned, "
-       << formatCompact(static_cast<double>(net.stats.cacheHits))
-       << " cache hits ("
-       << formatCompact(static_cast<double>(net.stats.cacheEvictions))
-       << " evictions), "
        << formatCompact(static_cast<double>(net.stats.modeled))
        << " fully modeled\n";
     // Only printed when an incremental engine actually served

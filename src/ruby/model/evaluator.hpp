@@ -110,12 +110,17 @@ enum class StagedEval
  */
 struct EvalStats
 {
-    std::uint64_t invalid = 0;        ///< rejected by validity stage
-    std::uint64_t prunedBound = 0;    ///< skipped by the lower bound
-    std::uint64_t modeled = 0;        ///< full cost-model runs
-    std::uint64_t cacheHits = 0;      ///< memo-cache hits
-    std::uint64_t cacheMisses = 0;    ///< memo-cache misses
-    std::uint64_t cacheEvictions = 0; ///< memo-cache evictions
+    std::uint64_t invalid = 0;     ///< rejected by validity stage
+    std::uint64_t prunedBound = 0; ///< skipped by the lower bound
+    std::uint64_t modeled = 0;     ///< full cost-model runs
+
+    /*
+     * Retired: the memo cache these counted is gone, so both stay
+     * zero. Nothing sets, sums, encodes or prints them; they remain
+     * only for out-of-tree readers of the struct and go with them.
+     */
+    std::uint64_t cacheHits = 0;
+    std::uint64_t cacheMisses = 0;
 
     /*
      * Incremental-evaluation counters (orthogonal to the decided()
@@ -151,7 +156,7 @@ struct EvalStats
      */
     std::uint64_t decided() const
     {
-        return invalid + prunedBound + modeled + cacheHits;
+        return invalid + prunedBound + modeled;
     }
 
     EvalStats &operator+=(const EvalStats &o)
@@ -159,9 +164,6 @@ struct EvalStats
         invalid += o.invalid;
         prunedBound += o.prunedBound;
         modeled += o.modeled;
-        cacheHits += o.cacheHits;
-        cacheMisses += o.cacheMisses;
-        cacheEvictions += o.cacheEvictions;
         deltaAttempts += o.deltaAttempts;
         deltaHits += o.deltaHits;
         deltaFallbacks += o.deltaFallbacks;

@@ -33,7 +33,6 @@
 #include "ruby/mapspace/padding.hpp"
 #include "ruby/mapspace/stats.hpp"
 #include "ruby/model/batch_eval.hpp"
-#include "ruby/model/eval_cache.hpp"
 #include "ruby/model/evaluator.hpp"
 #include "ruby/model/latency.hpp"
 #include "ruby/model/reference_sim.hpp"

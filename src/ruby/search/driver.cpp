@@ -224,8 +224,7 @@ archMemoSignature(const ArchSpec &arch)
  * Exact-context memo key: the numeric shape (never the name), the
  * architecture, the mapspace context, and every option that can
  * change a deterministic search's outcome. Anything excluded here
- * must be outcome-neutral by construction (e.g. sharedEvalCache:
- * warm hits only short-circuit non-improving re-evaluations).
+ * must be outcome-neutral by construction (e.g. networkThreads).
  */
 std::string
 layerMemoKey(const ConvShape &sh, const ArchSpec &arch,
@@ -241,10 +240,9 @@ layerMemoKey(const ConvShape &sh, const ArchSpec &arch,
         pad ? 1 : 0, '|', static_cast<int>(o.objective), ',',
         static_cast<int>(o.strategy), ',', o.terminationStreak, ',',
         o.maxEvaluations, ',', o.seed, ',', o.threads, ',',
-        o.restarts, ',', o.boundPruning ? 1 : 0, ',',
-        o.evalCache ? 1 : 0, ',', o.evalCacheCapacity, ',', o.islands,
-        ',', o.recordTrajectory ? 1 : 0, ',', o.incremental ? 1 : 0,
-        ',', o.batchEval ? 1 : 0, ',', o.refineSteps);
+        o.restarts, ',', o.boundPruning ? 1 : 0, ',', o.islands, ',',
+        o.recordTrajectory ? 1 : 0, ',', o.incremental ? 1 : 0, ',',
+        o.batchEval ? 1 : 0, ',', o.refineSteps);
 }
 
 } // namespace
@@ -361,12 +359,12 @@ searchLayer(const Problem &problem, const ArchSpec &arch,
         outcome.evaluated = res.evaluated;
         outcome.stats = res.stats;
         // Partition identity, checked in every build: each drawn
-        // mapping is decided exactly once (invalid, bound-pruned,
-        // cache hit or fully modeled). A mismatch means a counter
-        // bug; surface it rather than silently reporting bad stats.
+        // mapping is decided exactly once (invalid, bound-pruned or
+        // fully modeled). A mismatch means a counter bug; surface it
+        // rather than silently reporting bad stats.
         if (res.stats.decided() != res.evaluated)
             outcome.statsNote = detail::composeMessage(
-                "eval-stats mismatch: invalid+pruned+hits+modeled = ",
+                "eval-stats mismatch: invalid+pruned+modeled = ",
                 res.stats.decided(),
                 " != evaluated = ", res.evaluated);
         // Same idea for the incremental engine's own partition: every

@@ -104,8 +104,7 @@ struct LayerOutcome
 
     /**
      * Non-empty when the per-stage counters violated the partition
-     * identity invalid + prunedBound + cacheHits + modeled ==
-     * evaluated. Checked in every build (not just asserts); reports
+     * identity invalid + prunedBound + modeled == evaluated. Checked in every build (not just asserts); reports
      * surface the note as a one-line diagnostic.
      */
     std::string statsNote;

@@ -72,40 +72,25 @@ resolveOptions(const SearchOptions &options)
     RUBY_CHECK(opts.restarts <= kMaxParallelism,
                "search options: restarts (", opts.restarts,
                ") exceeds the cap of ", kMaxParallelism);
-    RUBY_CHECK(opts.evalCacheCapacity >= 1,
-               "search options: evalCacheCapacity must be >= 1");
     return opts;
 }
 
 /** What one drawn sample turned out to be. */
 struct SampleOutcome
 {
-    bool valid = false;   ///< passed validity (possibly via the cache)
+    bool valid = false;   ///< passed validity
     bool modeled = false; ///< scratch.result holds full-model output
-    double metric = kInf; ///< objective when known (modeled or cached)
+    double metric = kInf; ///< objective when modeled
 };
 
 /**
  * The per-sample fast path, cheapest check first:
  *
- *   validity -> objective lower bound -> memo cache -> full model.
- *
- * Validity runs before any hashing because most random samples are
- * invalid and rejecting one is cheaper than fingerprinting it; the
- * bound runs before the cache for the same reason. Only fully modeled
- * outcomes are cached — PrunedBound depends on the incumbent, not
- * just the mapping, and invalidity is cheaper to recompute than to
- * look up.
- *
- * A cache hit short-circuits only when it cannot change the best
- * mapping (objective >= bestSoFar). A hit claiming an improvement is
- * fully re-modeled, so neither a cross-restart hit nor a 128-bit
- * fingerprint collision can ever corrupt the result.
+ *   validity -> objective lower bound -> full model.
  */
 SampleOutcome
 evalSample(const Mapping &mapping, const Evaluator &evaluator,
-           const SearchOptions &opts, EvalCache *cache,
-           const FingerprintPair &salt, double bestSoFar,
+           const SearchOptions &opts, double bestSoFar,
            EvalScratch &scratch, EvalStats &stats)
 {
     SampleOutcome out;
@@ -122,50 +107,29 @@ evalSample(const Mapping &mapping, const Evaluator &evaluator,
         ++stats.prunedBound;
         return out;
     }
-    FingerprintPair fp;
-    if (cache != nullptr) {
-        fp = mappingFingerprintPair(mapping);
-        // The context salt scopes entries to this (problem, arch,
-        // objective): required when the cache outlives the search
-        // (ruby-served), free when it doesn't — applying it always
-        // keeps private and shared runs bit-identical.
-        fp.key ^= salt.key;
-        fp.verify ^= salt.verify;
-        CachedEval cached;
-        if (cache->lookup(fp.key, fp.verify, cached) && cached.valid &&
-            cached.objective >= bestSoFar) {
-            ++stats.cacheHits;
-            out.metric = cached.objective;
-            return out;
-        }
-        ++stats.cacheMisses;
-    }
     evaluator.modelValidated(mapping, scratch);
     ++stats.modeled;
     out.modeled = true;
     out.metric = scratch.result.objective(opts.objective);
-    if (cache != nullptr)
-        cache->insert(fp.key, fp.verify, CachedEval{out.metric, true});
     return out;
 }
 
 /**
  * The batched twin of evalSample(): validity and bound were computed
  * batch-wide by BatchEvaluator::run(); everything from the prune on —
- * the cache protocol, the full model, the counter bumps — replays the
- * scalar sequence exactly, against the same live @p bestSoFar, so the
- * two paths are bit-identical per candidate.
+ * the full model and the counter bumps — replays the scalar sequence
+ * exactly, against the same live @p bestSoFar, so the two paths are
+ * bit-identical per candidate.
  *
- * Lanes are ingested as flat decisions; the Mapping that the
- * fingerprint and the full model need is built into @p mapping only
- * past the prune, so the ~90 % of draws that die in the batch stages
- * never construct one. @p mapping is left empty for those.
+ * Lanes are ingested as flat decisions; the Mapping that the full
+ * model needs is built into @p mapping only past the prune, so the
+ * ~90 % of draws that die in the batch stages never construct one.
+ * @p mapping is left empty for those.
  */
 SampleOutcome
 consumeBatched(const BatchEvaluator &batch, std::size_t j,
                const Decisions &drawn, const Mapspace &space,
                const Evaluator &evaluator, const SearchOptions &opts,
-               EvalCache *cache, const FingerprintPair &salt,
                double bestSoFar, EvalScratch &scratch, EvalStats &stats,
                std::optional<Mapping> &mapping)
 {
@@ -182,27 +146,11 @@ consumeBatched(const BatchEvaluator &batch, std::size_t j,
         return out;
     }
     mapping.emplace(space.materialize(drawn));
-    FingerprintPair fp;
-    if (cache != nullptr) {
-        fp = mappingFingerprintPair(*mapping);
-        fp.key ^= salt.key;
-        fp.verify ^= salt.verify;
-        CachedEval cached;
-        if (cache->lookup(fp.key, fp.verify, cached) && cached.valid &&
-            cached.objective >= bestSoFar) {
-            ++stats.cacheHits;
-            out.metric = cached.objective;
-            return out;
-        }
-        ++stats.cacheMisses;
-    }
     batch.prepareScratch(j, scratch);
     evaluator.modelValidated(*mapping, scratch);
     ++stats.modeled;
     out.modeled = true;
     out.metric = scratch.result.objective(opts.objective);
-    if (cache != nullptr)
-        cache->insert(fp.key, fp.verify, CachedEval{out.metric, true});
     return out;
 }
 
@@ -251,8 +199,7 @@ claimEvaluation(std::atomic<std::uint64_t> &evaluated, std::uint64_t cap)
 
 void
 shardLoop(const Mapspace &space, const Evaluator &evaluator,
-          const SearchOptions &opts, EvalCache *cache,
-          const FingerprintPair &salt, Rng rng, SharedState &state,
+          const SearchOptions &opts, Rng rng, SharedState &state,
           const CancelToken &cancel, const Deadline &deadline)
 {
     FaultInjector &faults = FaultInjector::global();
@@ -279,8 +226,8 @@ shardLoop(const Mapspace &space, const Evaluator &evaluator,
         const double bestSoFar =
             state.bestSnapshot.load(std::memory_order_relaxed);
         const SampleOutcome sample =
-            evalSample(mapping, evaluator, opts, cache, salt,
-                       bestSoFar, scratch, stats);
+            evalSample(mapping, evaluator, opts, bestSoFar, scratch,
+                       stats);
         if (!sample.valid)
             continue;
         state.valid.fetch_add(1, std::memory_order_relaxed);
@@ -324,8 +271,7 @@ shardLoop(const Mapspace &space, const Evaluator &evaluator,
  */
 void
 shardLoopBatched(const Mapspace &space, const Evaluator &evaluator,
-                 const SearchOptions &opts, EvalCache *cache,
-                 const FingerprintPair &salt, Rng rng,
+                 const SearchOptions &opts, Rng rng,
                  SharedState &state, const CancelToken &cancel,
                  const Deadline &deadline)
 {
@@ -386,8 +332,8 @@ shardLoopBatched(const Mapspace &space, const Evaluator &evaluator,
                 state.bestSnapshot.load(std::memory_order_relaxed);
             std::optional<Mapping> mapping;
             const SampleOutcome sample = consumeBatched(
-                batch, j, drawn[j], space, evaluator, opts, cache, salt,
-                bestSoFar, scratch, stats, mapping);
+                batch, j, drawn[j], space, evaluator, opts, bestSoFar,
+                scratch, stats, mapping);
             if (!sample.valid)
                 continue;
             state.valid.fetch_add(1, std::memory_order_relaxed);
@@ -424,8 +370,7 @@ shardLoopBatched(const Mapspace &space, const Evaluator &evaluator,
 
 SearchResult
 runOne(const Mapspace &space, const Evaluator &evaluator,
-       const SearchOptions &options, EvalCache *cache,
-       const FingerprintPair &salt, const Deadline &deadline)
+       const SearchOptions &options, const Deadline &deadline)
 {
     SearchResult out;
 
@@ -485,8 +430,8 @@ runOne(const Mapspace &space, const Evaluator &evaluator,
                     faults.maybeThrow("random_search.evaluate");
                 std::optional<Mapping> mapping;
                 const SampleOutcome sample = consumeBatched(
-                    batch, j, drawn[j], space, evaluator, options, cache,
-                    salt, best, scratch, out.stats, mapping);
+                    batch, j, drawn[j], space, evaluator, options, best,
+                    scratch, out.stats, mapping);
                 ++out.evaluated;
                 if (sample.valid) {
                     ++out.valid;
@@ -533,8 +478,8 @@ runOne(const Mapspace &space, const Evaluator &evaluator,
             if (faults.enabled())
                 faults.maybeThrow("random_search.evaluate");
             const SampleOutcome sample =
-                evalSample(mapping, evaluator, options, cache, salt,
-                           best, scratch, out.stats);
+                evalSample(mapping, evaluator, options, best, scratch,
+                           out.stats);
             ++out.evaluated;
             if (sample.valid) {
                 ++out.valid;
@@ -567,12 +512,11 @@ runOne(const Mapspace &space, const Evaluator &evaluator,
     for (unsigned i = 0; i < options.threads; ++i)
         pool.submit([&, stream = seeder.split()]() mutable {
             if (batched)
-                shardLoopBatched(space, evaluator, options, cache,
-                                 salt, stream, state, cancel,
-                                 deadline);
+                shardLoopBatched(space, evaluator, options, stream,
+                                 state, cancel, deadline);
             else
-                shardLoop(space, evaluator, options, cache, salt,
-                          stream, state, cancel, deadline);
+                shardLoop(space, evaluator, options, stream, state,
+                          cancel, deadline);
         });
     pool.waitIdle();
 
@@ -593,7 +537,7 @@ runOne(const Mapspace &space, const Evaluator &evaluator,
  * the sampler's — so enabling refinement leaves the sampling prefix
  * untouched. Each step is one evaluation counted in the normal stats
  * (full model: the neighbour's actual metric is the acceptance test,
- * so neither the bound prune nor the memo cache applies); the
+ * so the bound prune does not apply); the
  * termination streak does not — refineSteps is its own budget.
  */
 void
@@ -685,37 +629,14 @@ randomSearch(const Mapspace &space, const Evaluator &evaluator,
     // call, not each restart individually.
     const Deadline deadline = Deadline::after(resolved.timeBudget);
 
-    // One cache is shared by every thread of every restart: repeated
-    // samples across restarts are duplicates too. A host-provided
-    // cache (ruby-served) extends that sharing across whole searches;
-    // the context salt below keeps its entries scoped.
-    std::unique_ptr<EvalCache> owned;
-    EvalCache *cache = nullptr;
-    if (resolved.evalCache) {
-        if (resolved.sharedEvalCache != nullptr) {
-            cache = resolved.sharedEvalCache;
-        } else {
-            owned = std::make_unique<EvalCache>(
-                resolved.evalCacheCapacity);
-            cache = owned.get();
-        }
-    }
-    const FingerprintPair salt = evalContextSalt(
-        evaluator.problem(), evaluator.arch(),
-        static_cast<int>(resolved.objective));
-    const std::uint64_t evictions_before =
-        cache != nullptr ? cache->stats().evictions : 0;
-
     SearchResult best;
     if (resolved.restarts <= 1 || resolved.recordTrajectory) {
-        best = runOne(space, evaluator, resolved, cache, salt,
-                      deadline);
+        best = runOne(space, evaluator, resolved, deadline);
     } else {
         for (unsigned r = 0; r < resolved.restarts; ++r) {
             SearchOptions opts = resolved;
             opts.seed = resolved.seed + 1000003ull * r;
-            SearchResult res =
-                runOne(space, evaluator, opts, cache, salt, deadline);
+            SearchResult res = runOne(space, evaluator, opts, deadline);
             const bool better =
                 res.best &&
                 (!best.best ||
@@ -736,13 +657,6 @@ randomSearch(const Mapspace &space, const Evaluator &evaluator,
         }
     }
     refineBest(space, evaluator, resolved, deadline, best);
-    // Evictions are attributed as a delta so a shared cache reports
-    // this search's churn, not its lifetime total. Concurrent
-    // searches on one shared cache may blur the attribution; the sum
-    // over searches stays exact.
-    if (cache != nullptr)
-        best.stats.cacheEvictions =
-            cache->stats().evictions - evictions_before;
     best.timers.totalNs = nsSince(total0);
     return best;
 }

@@ -14,7 +14,6 @@
 
 #include "ruby/common/cancel.hpp"
 #include "ruby/mapspace/mapspace.hpp"
-#include "ruby/model/eval_cache.hpp"
 #include "ruby/model/evaluator.hpp"
 
 namespace ruby
@@ -133,15 +132,6 @@ struct SearchOptions
     unsigned refineSteps = 0;
 
     /**
-     * Deduplicate repeated random samples through the sharded memo
-     * cache (see EvalCache). Never changes the best mapping found.
-     */
-    bool evalCache = true;
-
-    /** Memo-cache capacity in entries (rounded up per shard). */
-    std::size_t evalCacheCapacity = EvalCache::kDefaultCapacity;
-
-    /**
      * Island count for the genetic strategy (ignored by the others).
      * Each island evolves its own population on its own RNG stream;
      * see GeneticOptions::islands.
@@ -164,18 +154,6 @@ struct SearchOptions
      * never the layer name.
      */
     bool layerMemo = true;
-
-    /**
-     * Externally owned memo cache shared across whole searches (the
-     * process-lifetime cache of ruby-served). When set (and evalCache
-     * is true) searches use it instead of constructing a private
-     * cache; fingerprints are salted with evalContextSalt() either
-     * way, so sharing across problems and objectives is safe and a
-     * cold shared cache reproduces a private run bit for bit.
-     * cacheEvictions then reports this search's delta, not the
-     * cache's lifetime total. Not owned; must outlive the search.
-     */
-    EvalCache *sharedEvalCache = nullptr;
 
     /**
      * Cross-sweep layer-outcome memo shared by a long-lived host
@@ -234,9 +212,8 @@ struct SearchResult
 
     /**
      * Per-stage fast-path counters: how the drawn mappings were
-     * decided (invalid / bound-pruned / fully modeled) and how the
-     * memo cache behaved. invalid + prunedBound + modeled +
-     * cacheHits == evaluated.
+     * decided (invalid / bound-pruned / fully modeled).
+     * invalid + prunedBound + modeled == evaluated.
      */
     EvalStats stats;
 

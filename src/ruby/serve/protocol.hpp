@@ -132,8 +132,7 @@ struct Health
     std::uint64_t maxInflight = 0;   ///< concurrent search slots
     std::uint64_t queueCapacity = 0; ///< admission queue bound
     std::uint64_t uptimeMs = 0;      ///< daemon uptime
-    std::uint64_t evalCacheCapacity = 0; ///< warm eval-cache entries
-    std::uint64_t layerMemoEntries = 0;  ///< memoized layer results
+    std::uint64_t layerMemoEntries = 0; ///< memoized layer results
 
     // Response-cache + single-flight gauges (absent on the wire from
     // pre-cache daemons; the codec defaults them to zero).
@@ -161,6 +160,10 @@ JsonValue healthToJson(const Health &health);
 Health healthFromJson(const JsonValue &v);
 
 // -- domain codecs (exact round trips) ----------------------------------
+//
+// Decoders ignore keys they do not know, so the retired memo-cache
+// options, counters and gauge that older peers still send decode as
+// if absent.
 
 JsonValue evalStatsToJson(const EvalStats &stats);
 EvalStats evalStatsFromJson(const JsonValue &v);

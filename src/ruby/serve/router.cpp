@@ -167,7 +167,7 @@ Router::routingKey(const Request &request)
 {
     // Architecture + shape only — never search options, so the same
     // workload with a different budget or strategy still lands on
-    // the shard whose EvalCache and LayerMemo are warm for it.
+    // the shard whose LayerMemo is warm for it.
     std::string key;
     if (request.type == RequestType::Map) {
         key = "map|";
@@ -536,8 +536,6 @@ Router::fleetStatsJson()
     std::uint64_t received = 0, completed = 0, errors = 0,
                   admitted = 0, rejectedSaturated = 0,
                   rejectedDraining = 0;
-    std::uint64_t cacheHits = 0, cacheMisses = 0, cacheEvictions = 0,
-                  cacheCapacity = 0;
     std::uint64_t memoHits = 0, memoMisses = 0, memoInserts = 0,
                   memoEntries = 0;
     std::uint64_t respHits = 0, respMisses = 0, respEvictions = 0,
@@ -560,12 +558,6 @@ Router::fleetStatsJson()
                           rejectedSaturated);
             accumulateU64(*requests, "rejectedDraining",
                           rejectedDraining);
-        }
-        if (const JsonValue *cache = stats.find("evalCache")) {
-            accumulateU64(*cache, "hits", cacheHits);
-            accumulateU64(*cache, "misses", cacheMisses);
-            accumulateU64(*cache, "evictions", cacheEvictions);
-            accumulateU64(*cache, "capacity", cacheCapacity);
         }
         if (const JsonValue *memo = stats.find("layerMemo")) {
             accumulateU64(*memo, "hits", memoHits);
@@ -619,15 +611,6 @@ Router::fleetStatsJson()
     fleetRequests.set("rejectedDraining",
                       JsonValue::makeU64(rejectedDraining));
     fleet.set("requests", std::move(fleetRequests));
-
-    JsonValue fleetCache = JsonValue::makeObject();
-    fleetCache.set("hits", JsonValue::makeU64(cacheHits));
-    fleetCache.set("misses", JsonValue::makeU64(cacheMisses));
-    fleetCache.set("evictions", JsonValue::makeU64(cacheEvictions));
-    fleetCache.set("capacity", JsonValue::makeU64(cacheCapacity));
-    fleetCache.set("hitRate", JsonValue::makeDouble(
-                                  hitRate(cacheHits, cacheMisses)));
-    fleet.set("evalCache", std::move(fleetCache));
 
     JsonValue fleetMemo = JsonValue::makeObject();
     fleetMemo.set("hits", JsonValue::makeU64(memoHits));

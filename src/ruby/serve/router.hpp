@@ -8,7 +8,7 @@
  * request's (architecture signature, shape fingerprint) — search
  * options are deliberately excluded, so the same shape with a
  * different budget lands on the same shard and hits its warm
- * EvalCache. Keys map to backends through a consistent-hash ring
+ * LayerMemo. Keys map to backends through a consistent-hash ring
  * with bounded loads: each backend owns `replicas` virtual nodes,
  * and the ring walk skips a backend whose share of the router's
  * inflight forwards exceeds loadFactor times its fair share, so one

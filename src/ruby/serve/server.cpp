@@ -24,7 +24,6 @@ const Frontend::Tier kDaemonTier = {
 
 Server::Server(ServeOptions options)
     : options_(std::move(options)),
-      evalCache_(options_.evalCacheCapacity),
       frontend_(options_, options_.maxInflight, kDaemonTier, *this)
 {
 }
@@ -49,7 +48,6 @@ Server::handle(const Request &request, const std::string &,
 void
 Server::addHealth(Health &health) const
 {
-    health.evalCacheCapacity = evalCache_.capacity();
     health.layerMemoEntries = layerMemo_.stats().entries;
 }
 
@@ -64,8 +62,6 @@ void
 Server::prepareSearchOptions(SearchOptions &search)
 {
     search.cancel = &drainCancel_;
-    if (search.evalCache)
-        search.sharedEvalCache = &evalCache_;
     search.sharedLayerMemo = &layerMemo_;
 }
 
@@ -163,17 +159,6 @@ Server::statsJson() const
                  JsonValue::makeU64(gate.rejectedDraining));
     out.set("requests", std::move(requests));
     out.set("latency", frontend_.latencyJson());
-
-    const EvalCache::Stats cache = evalCache_.stats();
-    JsonValue jcache = JsonValue::makeObject();
-    jcache.set("hits", JsonValue::makeU64(cache.hits));
-    jcache.set("misses", JsonValue::makeU64(cache.misses));
-    jcache.set("evictions", JsonValue::makeU64(cache.evictions));
-    jcache.set("capacity",
-               JsonValue::makeU64(evalCache_.capacity()));
-    jcache.set("hitRate",
-               JsonValue::makeDouble(hitRate(cache.hits, cache.misses)));
-    out.set("evalCache", std::move(jcache));
 
     const LayerMemo::Stats memo = layerMemo_.stats();
     JsonValue jmemo = JsonValue::makeObject();

@@ -2,8 +2,8 @@
  * @file
  * ruby-served: a persistent mapping-as-a-service daemon.
  *
- * One process owns the expensive warm state — a shared EvalCache and
- * a cross-request LayerMemo — and serves mapping searches over a
+ * One process owns the expensive warm state — a cross-request
+ * LayerMemo — and serves mapping searches over a
  * Unix-domain or TCP socket speaking the NDJSON protocol of
  * protocol.hpp. Per-request SearchOptions arrive on the wire and are
  * enforced with the library's existing deadline/cancellation
@@ -17,12 +17,9 @@
  * cancels inflight searches once the drain budget expires.
  *
  * Determinism contract: a request against a cold daemon produces
- * results bit-identical to the same offline run — shared-cache
- * fingerprints are salted per evaluation context, warm cache hits
- * only ever short-circuit non-improving re-evaluations, and the
- * cross-request memo replays only deterministic configurations (see
- * SearchOptions::sharedEvalCache / sharedLayerMemo and
- * docs/SERVING.md).
+ * results bit-identical to the same offline run — the cross-request
+ * memo replays only deterministic configurations (see
+ * SearchOptions::sharedLayerMemo and docs/SERVING.md).
  */
 
 #ifndef RUBY_SERVE_SERVER_HPP
@@ -34,7 +31,6 @@
 #include <mutex>
 
 #include "ruby/common/cancel.hpp"
-#include "ruby/model/eval_cache.hpp"
 #include "ruby/search/driver.hpp"
 #include "ruby/serve/frontend.hpp"
 
@@ -50,10 +46,6 @@ struct ServeOptions : FrontendOptions
 {
     /** Concurrent search slots. */
     unsigned maxInflight = 2;
-
-    /** Shared eval-cache capacity (entries). For bit-identical stats
-     *  against offline runs this must equal the offline capacity. */
-    std::size_t evalCacheCapacity = EvalCache::kDefaultCapacity;
 };
 
 /**
@@ -143,7 +135,6 @@ class Server : private Frontend::Handler
     ServeOptions options_;
 
     // Process-lifetime warm state shared by every request.
-    EvalCache evalCache_;
     LayerMemo layerMemo_;
     CancelToken drainCancel_;
 

@@ -64,14 +64,11 @@ TEST(ReportGolden, FullyMappedNetworkSummary)
     net.edp = 1.25e19;
     net.stats.invalid = 10;
     net.stats.prunedBound = 20;
-    net.stats.cacheHits = 5;
-    net.stats.cacheEvictions = 0;
     net.stats.modeled = 99;
 
     const std::string golden = "mapped 2/2 unique layers\n"
                                "fast path      : 10 invalid, "
-                               "20 bound-pruned, 5 cache hits "
-                               "(0 evictions), 99 fully modeled\n"
+                               "20 bound-pruned, 99 fully modeled\n"
                                "network energy : 2.500e+12 pJ\n"
                                "network cycles : 5.000e+06\n"
                                "network EDP    : 1.250e+19\n";
@@ -104,7 +101,7 @@ TEST(ReportGolden, PartialResultSummary)
     const std::string golden =
         "mapped 1/2 unique layers\n"
         "fast path      : 10 invalid, 0 bound-pruned, "
-        "0 cache hits (0 evictions), 40 fully modeled\n"
+        "40 fully modeled\n"
         "PARTIAL RESULT: 1 layer(s) failed; totals cover mapped "
         "layers only\n"
         "mapped energy  : 1.500e+09 pJ\n"
@@ -135,7 +132,7 @@ TEST(ReportGolden, MemoizedLayersGetMemoStatusAndStatsLine)
     const std::string golden =
         "mapped 2/2 unique layers\n"
         "fast path      : 10 invalid, 0 bound-pruned, "
-        "0 cache hits (0 evictions), 40 fully modeled\n"
+        "40 fully modeled\n"
         "layer memo     : 1 duplicate layer(s) replicated without "
         "searching\n"
         "network energy : 4.000e+09 pJ\n"
@@ -164,7 +161,7 @@ TEST(ReportGolden, BatchEvalLinePrintedOnlyWhenBatchesRan)
     const std::string golden =
         "mapped 1/1 unique layers\n"
         "fast path      : 10 invalid, 0 bound-pruned, "
-        "0 cache hits (0 evictions), 40 fully modeled\n"
+        "40 fully modeled\n"
         "batch eval     : 96 batched over 3 batches (10 rejects)\n"
         "network energy : 1.000e+09 pJ\n"
         "network cycles : 100.0\n"
@@ -177,7 +174,7 @@ TEST(ReportGolden, StatsCheckViolationSurfacesOneLinePerLayer)
     NetworkOutcome net;
     LayerOutcome bad = okLayer("conv_x", 50.0);
     bad.statsNote =
-        "eval-stats mismatch: invalid+pruned+hits+modeled = 49 "
+        "eval-stats mismatch: invalid+pruned+modeled = 49 "
         "!= evaluated = 50";
     net.layers = {bad};
     net.allFound = true;
@@ -190,9 +187,9 @@ TEST(ReportGolden, StatsCheckViolationSurfacesOneLinePerLayer)
     const std::string golden =
         "mapped 1/1 unique layers\n"
         "fast path      : 9 invalid, 0 bound-pruned, "
-        "0 cache hits (0 evictions), 40 fully modeled\n"
+        "40 fully modeled\n"
         "stats check    : conv_x: eval-stats mismatch: "
-        "invalid+pruned+hits+modeled = 49 != evaluated = 50\n"
+        "invalid+pruned+modeled = 49 != evaluated = 50\n"
         "network energy : 1.000e+09 pJ\n"
         "network cycles : 100.0\n"
         "network EDP    : 1.000e+11\n";

@@ -5,7 +5,6 @@
 #include "ruby/arch/presets.hpp"
 #include "ruby/common/math_util.hpp"
 #include "ruby/common/rng.hpp"
-#include "ruby/model/eval_cache.hpp"
 #include "ruby/search/driver.hpp"
 #include "ruby/util/hash.hpp"
 #include "ruby/workload/conv.hpp"
@@ -242,8 +241,6 @@ TEST(MapspaceGolden, SampleIntoMaterializesToSample)
             const Mapping got = space.materialize(decisions);
             ASSERT_EQ(got.toString(), expected.toString())
                 << variantName(variant) << " draw " << i;
-            EXPECT_EQ(mappingFingerprint(got),
-                      mappingFingerprint(expected));
             EXPECT_EQ(decisions.keepMask, expected.keepMask());
             EXPECT_EQ(decisions.axisYMask, expected.axisYMask());
         }

@@ -254,8 +254,6 @@ randomTrajectoryParity(PresetFixture fix)
     EXPECT_EQ(a.stats.invalid, b.stats.invalid);
     EXPECT_EQ(a.stats.prunedBound, b.stats.prunedBound);
     EXPECT_EQ(a.stats.modeled, b.stats.modeled);
-    EXPECT_EQ(a.stats.cacheHits, b.stats.cacheHits);
-    EXPECT_EQ(a.stats.cacheMisses, b.stats.cacheMisses);
     ASSERT_EQ(a.best.has_value(), b.best.has_value());
     if (a.best) {
         EXPECT_EQ(a.bestResult.edp, b.bestResult.edp);

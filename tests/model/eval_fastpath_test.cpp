@@ -3,8 +3,8 @@
  * Parity and semantics tests for the staged evaluation fast path:
  * the scratch-based path must be bit-identical to the allocating
  * evaluate(), the objective lower bound must be sound, and a search
- * with pruning + memo cache enabled must find exactly the same best
- * mapping as one with both disabled.
+ * with pruning enabled must find exactly the same best mapping as one
+ * with it disabled.
  */
 
 #include <gtest/gtest.h>
@@ -162,7 +162,7 @@ TEST(EvalFastPath, StagedStagesMatchDirectEvaluate)
  * End-to-end parity: with a fixed seed and a single thread, the
  * search must find the same best mapping, visit the same number of
  * samples and terminate identically whether the fast path (bound
- * pruning + memo cache) is on or off.
+ * pruning) is on or off.
  */
 void
 runSearchParity(PresetFixture &fx)
@@ -175,7 +175,6 @@ runSearchParity(PresetFixture &fx)
 
     SearchOptions slow = fast;
     slow.boundPruning = false;
-    slow.evalCache = false;
 
     const SearchResult a = randomSearch(fx.space, fx.eval, fast);
     const SearchResult b = randomSearch(fx.space, fx.eval, slow);
@@ -191,11 +190,10 @@ runSearchParity(PresetFixture &fx)
     // Stage counters partition the drawn samples.
     for (const SearchResult *r : {&a, &b})
         EXPECT_EQ(r->stats.invalid + r->stats.prunedBound +
-                      r->stats.modeled + r->stats.cacheHits,
+                      r->stats.modeled,
                   r->evaluated);
     // The slow configuration must not have used the fast path.
     EXPECT_EQ(b.stats.prunedBound, 0u);
-    EXPECT_EQ(b.stats.cacheHits, 0u);
     EXPECT_EQ(b.stats.modeled + b.stats.invalid, b.evaluated);
 }
 
@@ -221,11 +219,8 @@ TEST(EvalFastPath, ThreadedSearchCountsStayConsistent)
     const SearchResult res = randomSearch(fx.space, fx.eval, opts);
     ASSERT_TRUE(res.best.has_value());
     EXPECT_EQ(res.stats.invalid + res.stats.prunedBound +
-                  res.stats.modeled + res.stats.cacheHits,
+                  res.stats.modeled,
               res.evaluated);
-    // The cache is consulted only past validity and the bound, so
-    // every miss leads to exactly one full model run.
-    EXPECT_EQ(res.stats.cacheMisses, res.stats.modeled);
 }
 
 } // namespace

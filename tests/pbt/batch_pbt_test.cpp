@@ -153,7 +153,6 @@ batchedSearchReplaysScalar(const WorkloadCase &c)
     }
     if (a.stats.invalid != b.stats.invalid ||
         a.stats.prunedBound != b.stats.prunedBound ||
-        a.stats.cacheHits != b.stats.cacheHits ||
         a.stats.modeled != b.stats.modeled) {
         os << "stage counters diverge (" << c.describe() << ")";
         return os.str();

@@ -158,10 +158,6 @@ requestRoundTrips(const serve::Request &req)
             return fail("search.batchEval");
         if (a.refineSteps != b.refineSteps)
             return fail("search.refineSteps");
-        if (a.evalCache != b.evalCache)
-            return fail("search.evalCache");
-        if (a.evalCacheCapacity != b.evalCacheCapacity)
-            return fail("search.evalCacheCapacity");
         if (a.islands != b.islands)
             return fail("search.islands");
         if (a.networkThreads != b.networkThreads)
@@ -188,9 +184,6 @@ evalStatsRoundTrips(const EvalStats &stats)
     if (back.invalid != stats.invalid ||
         back.prunedBound != stats.prunedBound ||
         back.modeled != stats.modeled ||
-        back.cacheHits != stats.cacheHits ||
-        back.cacheMisses != stats.cacheMisses ||
-        back.cacheEvictions != stats.cacheEvictions ||
         back.deltaAttempts != stats.deltaAttempts ||
         back.deltaHits != stats.deltaHits ||
         back.deltaFallbacks != stats.deltaFallbacks ||
@@ -213,9 +206,6 @@ TEST(CodecPbt, EvalStatsCodecRoundTrips)
         s.invalid = rng.next() >> rng.below(64);
         s.prunedBound = rng.next() >> rng.below(64);
         s.modeled = rng.next() >> rng.below(64);
-        s.cacheHits = rng.next() >> rng.below(64);
-        s.cacheMisses = rng.next() >> rng.below(64);
-        s.cacheEvictions = rng.next() >> rng.below(64);
         s.deltaAttempts = rng.next() >> rng.below(64);
         s.deltaHits = rng.next() >> rng.below(64);
         s.deltaFallbacks = rng.next() >> rng.below(64);

@@ -499,8 +499,6 @@ genSearchOptions(Rng &rng)
     o.incremental = rng.below(2) == 1;
     o.batchEval = rng.below(2) == 1;
     o.refineSteps = static_cast<unsigned>(rng.below(64));
-    o.evalCache = rng.below(2) == 1;
-    o.evalCacheCapacity = 1ull << rng.between(4, 20);
     o.islands = static_cast<unsigned>(rng.between(1, 6));
     o.networkThreads = static_cast<unsigned>(rng.between(1, 4));
     o.layerMemo = rng.below(2) == 1;

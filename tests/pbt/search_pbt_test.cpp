@@ -1,7 +1,7 @@
 /**
  * @file
- * Search-layer properties: staged evaluation (bound pruning + memo
- * cache) never changes a search's trajectory or result, exhaustive
+ * Search-layer properties: staged evaluation (bound pruning) never
+ * changes a search's trajectory or result, exhaustive
  * enumeration is bit-identical across thread counts, and the
  * mapspace-containment chain PFM subset Ruby-S/Ruby-T subset Ruby is
  * visible in the optima (a larger space never loses).
@@ -28,8 +28,8 @@ using pbt::WorkloadCase;
 
 /**
  * Property 4 — staged == unstaged trajectories: with the termination
- * rules fixed, enabling bound pruning and the memo cache changes
- * neither the best-so-far trajectory nor the final result of a
+ * rules fixed, enabling bound pruning changes neither the
+ * best-so-far trajectory nor the final result of a
  * random search. The staged path must be a pure execution detail.
  */
 std::optional<std::string>
@@ -50,10 +50,8 @@ stagedMatchesUnstagedTrajectory(const WorkloadCase &c)
 
     SearchOptions staged = base;
     staged.boundPruning = true;
-    staged.evalCache = true;
     SearchOptions unstaged = base;
     unstaged.boundPruning = false;
-    unstaged.evalCache = false;
 
     const SearchResult a = randomSearch(space, eval, staged);
     const SearchResult b = randomSearch(space, eval, unstaged);

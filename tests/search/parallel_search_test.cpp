@@ -48,12 +48,11 @@ smallConv()
     return sh;
 }
 
-/** invalid + pruned + hits + modeled must partition the evaluations. */
+/** invalid + pruned + modeled must partition the evaluations. */
 void
 expectStatsPartition(const EvalStats &stats, std::uint64_t evaluated)
 {
-    EXPECT_EQ(stats.invalid + stats.prunedBound + stats.cacheHits +
-                  stats.modeled,
+    EXPECT_EQ(stats.invalid + stats.prunedBound + stats.modeled,
               evaluated);
 }
 

@@ -466,12 +466,6 @@ const char *kServerStatsGolden =
     "latency.p50Ms\n"
     "latency.p99Ms\n"
     "latency.counts\n"
-    "evalCache\n"
-    "evalCache.hits\n"
-    "evalCache.misses\n"
-    "evalCache.evictions\n"
-    "evalCache.capacity\n"
-    "evalCache.hitRate\n"
     "layerMemo\n"
     "layerMemo.hits\n"
     "layerMemo.misses\n"
@@ -509,7 +503,6 @@ const char *kServerPongGolden =
     "health.maxInflight\n"
     "health.queueCapacity\n"
     "health.uptimeMs\n"
-    "health.evalCacheCapacity\n"
     "health.layerMemoEntries\n"
     "health.requestCount\n"
     "health.p50Ms\n"
@@ -581,12 +574,6 @@ const char *kRouterStatsGolden =
     "backends[].stats.latency.p50Ms\n"
     "backends[].stats.latency.p99Ms\n"
     "backends[].stats.latency.counts\n"
-    "backends[].stats.evalCache\n"
-    "backends[].stats.evalCache.hits\n"
-    "backends[].stats.evalCache.misses\n"
-    "backends[].stats.evalCache.evictions\n"
-    "backends[].stats.evalCache.capacity\n"
-    "backends[].stats.evalCache.hitRate\n"
     "backends[].stats.layerMemo\n"
     "backends[].stats.layerMemo.hits\n"
     "backends[].stats.layerMemo.misses\n"
@@ -617,12 +604,6 @@ const char *kRouterStatsGolden =
     "fleet.requests.admitted\n"
     "fleet.requests.rejectedSaturated\n"
     "fleet.requests.rejectedDraining\n"
-    "fleet.evalCache\n"
-    "fleet.evalCache.hits\n"
-    "fleet.evalCache.misses\n"
-    "fleet.evalCache.evictions\n"
-    "fleet.evalCache.capacity\n"
-    "fleet.evalCache.hitRate\n"
     "fleet.layerMemo\n"
     "fleet.layerMemo.hits\n"
     "fleet.layerMemo.misses\n"
@@ -665,7 +646,6 @@ const char *kRouterPongGolden =
     "health.maxInflight\n"
     "health.queueCapacity\n"
     "health.uptimeMs\n"
-    "health.evalCacheCapacity\n"
     "health.layerMemoEntries\n"
     "health.requestCount\n"
     "health.p50Ms\n"

@@ -8,6 +8,9 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ruby/common/error.hpp"
 #include "ruby/serve/protocol.hpp"
@@ -34,8 +37,6 @@ fancyOptions()
     o.networkTimeBudget = std::chrono::milliseconds(4000);
     o.recordTrajectory = true;
     o.boundPruning = false;
-    o.evalCache = false;
-    o.evalCacheCapacity = 1024;
     o.islands = 7;
     o.networkThreads = 2;
     o.layerMemo = false;
@@ -104,8 +105,6 @@ TEST(ServeProtocol, SearchOptionsRoundTrip)
     EXPECT_EQ(back.networkTimeBudget, o.networkTimeBudget);
     EXPECT_EQ(back.recordTrajectory, o.recordTrajectory);
     EXPECT_EQ(back.boundPruning, o.boundPruning);
-    EXPECT_EQ(back.evalCache, o.evalCache);
-    EXPECT_EQ(back.evalCacheCapacity, o.evalCacheCapacity);
     EXPECT_EQ(back.islands, o.islands);
     EXPECT_EQ(back.networkThreads, o.networkThreads);
     EXPECT_EQ(back.layerMemo, o.layerMemo);
@@ -118,7 +117,7 @@ TEST(ServeProtocol, SearchOptionsDefaultsSurviveEmptyPayload)
         searchOptionsFromJson(JsonValue::makeObject());
     EXPECT_EQ(back.strategy, defaults.strategy);
     EXPECT_EQ(back.terminationStreak, defaults.terminationStreak);
-    EXPECT_EQ(back.evalCache, defaults.evalCache);
+    EXPECT_EQ(back.boundPruning, defaults.boundPruning);
     EXPECT_EQ(back.layerMemo, defaults.layerMemo);
 }
 
@@ -142,10 +141,7 @@ TEST(ServeProtocol, LayerOutcomeRoundTrip)
     out.evaluated = 40000;
     out.stats.invalid = 100;
     out.stats.prunedBound = 200;
-    out.stats.modeled = 39600;
-    out.stats.cacheHits = 100;
-    out.stats.cacheMisses = 39900;
-    out.stats.cacheEvictions = 3;
+    out.stats.modeled = 39700;
     out.bestMapping = "L0: c4 m2 | L1: p7\n";
     out.timedOut = true;
     out.certified = true;
@@ -163,9 +159,6 @@ TEST(ServeProtocol, LayerOutcomeRoundTrip)
     EXPECT_EQ(back.stats.invalid, out.stats.invalid);
     EXPECT_EQ(back.stats.prunedBound, out.stats.prunedBound);
     EXPECT_EQ(back.stats.modeled, out.stats.modeled);
-    EXPECT_EQ(back.stats.cacheHits, out.stats.cacheHits);
-    EXPECT_EQ(back.stats.cacheMisses, out.stats.cacheMisses);
-    EXPECT_EQ(back.stats.cacheEvictions, out.stats.cacheEvictions);
     EXPECT_EQ(back.bestMapping, out.bestMapping);
     EXPECT_EQ(back.failure, out.failure);
     EXPECT_EQ(back.timedOut, out.timedOut);
@@ -327,7 +320,6 @@ TEST(ServeProtocol, HealthRoundTripsEveryField)
     h.maxInflight = 8;
     h.queueCapacity = 64;
     h.uptimeMs = 123456;
-    h.evalCacheCapacity = 4096;
     h.layerMemoEntries = 17;
     h.responseCacheEntries = 42;
     h.responseCacheHitRate = 0.625;
@@ -344,7 +336,6 @@ TEST(ServeProtocol, HealthRoundTripsEveryField)
     EXPECT_EQ(back.maxInflight, h.maxInflight);
     EXPECT_EQ(back.queueCapacity, h.queueCapacity);
     EXPECT_EQ(back.uptimeMs, h.uptimeMs);
-    EXPECT_EQ(back.evalCacheCapacity, h.evalCacheCapacity);
     EXPECT_EQ(back.layerMemoEntries, h.layerMemoEntries);
     EXPECT_EQ(back.responseCacheEntries, h.responseCacheEntries);
     EXPECT_EQ(back.responseCacheHitRate, h.responseCacheHitRate);
@@ -376,6 +367,88 @@ TEST(ServeProtocol, HealthFromOlderPeerDefaultsCacheGauges)
     EXPECT_EQ(back.responseCacheEntries, 0u);
     EXPECT_EQ(back.responseCacheHitRate, 0.0);
     EXPECT_EQ(back.coalescedInflight, 0u);
+}
+
+/**
+ * Wire compatibility with peers that predate the memo cache's
+ * removal: each object below is an encoder's output plus the keys
+ * that peer still sends. Decoding must ignore those keys — the result
+ * re-encodes byte-identically to the plain object — and the encoders
+ * must no longer emit them.
+ */
+struct RetiredKeys
+{
+    const char *object;
+    JsonValue encoded;
+    std::vector<std::pair<const char *, JsonValue>> retired;
+    /** Decode with this object's codec, then re-encode. */
+    std::string (*reencode)(const JsonValue &);
+};
+
+std::vector<RetiredKeys>
+retiredKeyRows()
+{
+    EvalStats stats;
+    stats.invalid = 10;
+    stats.prunedBound = 20;
+    stats.modeled = 30;
+    stats.deltaAttempts = 4;
+    Health health;
+    health.ok = true;
+    health.maxInflight = 2;
+    health.layerMemoEntries = 17;
+    return {
+        {"search options",
+         searchOptionsToJson(fancyOptions()),
+         {{"evalCache", JsonValue::makeBool(false)},
+          {"evalCacheCapacity", JsonValue::makeU64(1024)}},
+         [](const JsonValue &v) {
+             return writeJson(
+                 searchOptionsToJson(searchOptionsFromJson(v)));
+         }},
+        {"eval stats",
+         evalStatsToJson(stats),
+         {{"cacheHits", JsonValue::makeU64(100)},
+          {"cacheMisses", JsonValue::makeU64(39900)},
+          {"cacheEvictions", JsonValue::makeU64(3)}},
+         [](const JsonValue &v) {
+             return writeJson(evalStatsToJson(evalStatsFromJson(v)));
+         }},
+        {"health",
+         healthToJson(health),
+         {{"evalCacheCapacity", JsonValue::makeU64(65536)}},
+         [](const JsonValue &v) {
+             return writeJson(healthToJson(healthFromJson(v)));
+         }},
+    };
+}
+
+TEST(ServeProtocol, OlderPeersRetiredCacheKeysAreIgnored)
+{
+    for (const RetiredKeys &row : retiredKeyRows()) {
+        JsonValue old = row.encoded;
+        for (const auto &[key, value] : row.retired)
+            old.set(key, value);
+        EXPECT_EQ(row.reencode(parseJson(writeJson(old))),
+                  row.reencode(row.encoded))
+            << row.object;
+    }
+    // The two retired EvalStats fields are not encoded, so check
+    // directly that an old peer's values do not leak into them.
+    JsonValue oldStats = evalStatsToJson(EvalStats{});
+    oldStats.set("cacheHits", JsonValue::makeU64(100));
+    oldStats.set("cacheMisses", JsonValue::makeU64(39900));
+    const EvalStats back = evalStatsFromJson(oldStats);
+    EXPECT_EQ(back.cacheHits, 0u);
+    EXPECT_EQ(back.cacheMisses, 0u);
+}
+
+TEST(ServeProtocol, EncodersNoLongerEmitRetiredCacheKeys)
+{
+    for (const RetiredKeys &row : retiredKeyRows())
+        for (const auto &[key, value] : row.retired)
+            EXPECT_EQ(row.encoded.find(key), nullptr)
+                << row.object << " still emits " << key;
 }
 
 TEST(ServeProtocol, FailureCodesMirrorExitCodes)

@@ -19,8 +19,6 @@
  * algorithm; `optimal` is certified branch-and-bound — see
  * docs/PERFORMANCE.md "Certified-optimal search"),
  * --islands N (genetic sub-populations),
- * --[no-]eval-cache (mapping memo cache; on by default),
- * --cache-capacity N (memo-cache entries),
  * --[no-]bound-pruning (objective lower-bound prune; on by default),
  * --[no-]incremental (delta evaluation engine; on by default),
  * --[no-]batch-eval (batched SoA evaluation; on by default),
@@ -42,7 +40,7 @@
  * shared caches, admission control, graceful drain on SIGTERM — see
  * docs/SERVING.md): --unix PATH or --host H --port N (port 0 binds an
  * ephemeral port and logs it), --max-inflight N, --queue-capacity N,
- * --drain-budget MS, --cache-capacity N, --quiet.
+ * --drain-budget MS, --quiet.
  *
  * `route` runs ruby-router, the consistent-hash front for a fleet of
  * daemons (see docs/SERVING.md "Fleet topology"): repeatable
@@ -137,7 +135,6 @@ usage()
            "          [--constraints P] [--evals N] [--streak N]"
            " [--seed N]\n"
            "          [--threads N] [--restarts N] [--time-budget MS]\n"
-           "          [--[no-]eval-cache] [--cache-capacity N]\n"
            "          [--[no-]bound-pruning] [--[no-]incremental]\n"
            "          [--[no-]batch-eval]\n"
            "          [--strategy"
@@ -151,10 +148,8 @@ usage()
            "  ruby-map suites\n"
            "  ruby-map serve [--unix PATH | --host H --port N]\n"
            "          [--max-inflight N] [--queue-capacity N]\n"
-           "          [--drain-budget MS] [--cache-capacity N]\n"
-           "          [--[no-]response-cache]"
-           " [--response-cache-capacity N]\n"
-           "          [--quiet]\n"
+           "          [--drain-budget MS] [--[no-]response-cache]\n"
+           "          [--response-cache-capacity N] [--quiet]\n"
            "  ruby-map route --backend (unix:PATH | HOST:PORT) ...\n"
            "          [--unix PATH | --host H --port N]\n"
            "          [--replicas N] [--load-factor X]\n"
@@ -238,13 +233,6 @@ applySearchFlag(const std::string &flag, SearchOptions &search,
     else if (flag == "--network-budget")
         search.networkTimeBudget =
             std::chrono::milliseconds(parseU64Arg(flag, next()));
-    else if (flag == "--eval-cache")
-        search.evalCache = true;
-    else if (flag == "--no-eval-cache")
-        search.evalCache = false;
-    else if (flag == "--cache-capacity")
-        search.evalCacheCapacity =
-            static_cast<std::size_t>(parseU64Arg(flag, next()));
     else if (flag == "--bound-pruning")
         search.boundPruning = true;
     else if (flag == "--no-bound-pruning")
@@ -310,8 +298,7 @@ reportMapResult(const Problem &problem, const ArchSpec &arch,
     std::cout << "evaluated " << result.evaluated << " mappings ("
               << result.stats.modeled << " fully modeled, "
               << result.stats.invalid << " invalid, "
-              << result.stats.prunedBound << " bound-pruned, "
-              << result.stats.cacheHits << " cache hits)\n";
+              << result.stats.prunedBound << " bound-pruned)\n";
     // Mirrors the network report: printed only when the incremental
     // engine actually served candidates, so engine-free runs stay
     // byte-identical to pre-engine output.
@@ -616,9 +603,6 @@ runServe(const std::vector<std::string> &args)
         if (flag == "--max-inflight")
             options.maxInflight =
                 static_cast<unsigned>(parseU64Arg(flag, next()));
-        else if (flag == "--cache-capacity")
-            options.evalCacheCapacity =
-                static_cast<std::size_t>(parseU64Arg(flag, next()));
         else
             unknownFlag(flag);
     }
@@ -776,7 +760,6 @@ printPingHealth(const serve::JsonValue &response)
               << health.maxInflight << " queued=" << health.queued
               << "/" << health.queueCapacity
               << " uptime-ms=" << health.uptimeMs
-              << " eval-cache-capacity=" << health.evalCacheCapacity
               << " layer-memo-entries=" << health.layerMemoEntries
               << " response-cache-entries="
               << health.responseCacheEntries
