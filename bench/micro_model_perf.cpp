@@ -69,8 +69,9 @@ BM_SampleMapping(benchmark::State &state)
 }
 BENCHMARK(BM_SampleMapping);
 
-/** The allocation-free draw the batched random search makes: flat
- *  decision rows into a reused buffer, no Mapping. */
+/** The allocation-free draw the batched random search makes: one
+ *  keyed stream per draw, flat decision rows into a reused buffer, no
+ *  Mapping, stopping at the first capacity overflow. */
 void
 BM_SampleInto(benchmark::State &state)
 {
@@ -78,19 +79,19 @@ BM_SampleInto(benchmark::State &state)
         MappingConstraints::eyerissRowStationary(resnetLayer(),
                                                  eyeriss());
     const Mapspace space(cons, MapspaceVariant::RubyS);
-    Rng rng(1);
     Decisions decisions;
-    DivisorMemo memo;
+    std::uint64_t index = 0;
     for (auto _ : state) {
-        space.sampleInto(rng, decisions, memo);
-        benchmark::DoNotOptimize(decisions.steady.data());
+        Rng rng = Rng::keyed(1, index++);
+        benchmark::DoNotOptimize(space.sampleInto(rng, decisions));
         benchmark::ClobberMemory();
     }
 }
 BENCHMARK(BM_SampleInto);
 
 /** The random search's whole candidate-generation stage per batch:
- *  draw kDefaultEvalBatch rows and ingest them flat (items = draws). */
+ *  draw kDefaultEvalBatch keyed draws and ingest the completed ones
+ *  flat (items = draws). */
 void
 BM_SampleIngestBatch(benchmark::State &state)
 {
@@ -100,14 +101,14 @@ BM_SampleIngestBatch(benchmark::State &state)
     const Mapspace space(cons, MapspaceVariant::RubyS);
     const Evaluator eval(resnetLayer(), eyeriss());
     BatchEvaluator batch(eval);
-    Rng rng(1);
     std::vector<Decisions> drawn(kDefaultEvalBatch);
-    DivisorMemo memo;
+    std::uint64_t index = 0;
     for (auto _ : state) {
         batch.begin(kDefaultEvalBatch);
         for (Decisions &d : drawn) {
-            space.sampleInto(rng, d, memo);
-            batch.add(d);
+            Rng rng = Rng::keyed(1, index++);
+            if (space.sampleInto(rng, d))
+                batch.add(d);
         }
         benchmark::DoNotOptimize(batch.size());
         benchmark::ClobberMemory();

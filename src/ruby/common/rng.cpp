@@ -36,4 +36,11 @@ Rng::split()
     return Rng(next() ^ 0xa0761d6478bd642full);
 }
 
+Rng
+Rng::keyed(std::uint64_t seed, std::uint64_t index)
+{
+    std::uint64_t key = seed ^ splitmix64(index);
+    return Rng(splitmix64(key));
+}
+
 } // namespace ruby

@@ -2,11 +2,11 @@
  * @file
  * Deterministic pseudo-random number generation for mapspace sampling.
  *
- * The search layer needs reproducible, splittable random streams so
- * multi-threaded searches are deterministic for a given seed and thread
- * count. We use xoshiro256** — small, fast, and self-contained (no
- * dependence on libstdc++ distribution implementations, whose outputs
- * can differ across library versions).
+ * Random search keys one stream per draw (keyed()), so a draw is a
+ * function of (seed, index) alone, whichever thread makes it. We use
+ * xoshiro256** — small, fast, and self-contained (no dependence on
+ * libstdc++ distribution implementations, whose outputs can differ
+ * across library versions).
  */
 
 #ifndef RUBY_COMMON_RNG_HPP
@@ -78,6 +78,13 @@ class Rng
      * of a given parent is deterministic.
      */
     Rng split();
+
+    /**
+     * The stream of item @p index under @p seed, keyed by a splitmix64
+     * mix of both (a counter-based split after Salmon et al., SC'11):
+     * any thread opens any item's stream without replaying the rest.
+     */
+    static Rng keyed(std::uint64_t seed, std::uint64_t index);
 
   private:
     static std::uint64_t rotl(std::uint64_t x, int k)

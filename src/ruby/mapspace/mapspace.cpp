@@ -5,6 +5,7 @@
 
 #include "ruby/common/error.hpp"
 #include "ruby/common/math_util.hpp"
+#include "ruby/model/tile_analysis.hpp"
 
 namespace ruby
 {
@@ -42,8 +43,18 @@ imperfectTemporal(MapspaceVariant variant)
 
 Mapspace::Mapspace(const MappingConstraints &constraints,
                    MapspaceVariant variant)
-    : constraints_(&constraints), variant_(variant)
+    : constraints_(&constraints), variant_(variant),
+      divisors_(std::make_unique<DivisorTables>())
 {
+    const int nd = problem().numDims();
+    RUBY_CHECK(nd <= kMaxDims, "mapspace: ", nd,
+               " problem dimensions exceed the sampler's limit of ",
+               kMaxDims);
+    for (int l = 0; l < arch().numLevels(); ++l)
+        for (DimId d = 0; d < nd; ++d)
+            axisMask_.push_back(static_cast<std::uint8_t>(
+                constraints.spatialAllowed(l, d, SpatialAxis::X) |
+                constraints.spatialAllowed(l, d, SpatialAxis::Y) << 1));
 }
 
 std::uint64_t
@@ -53,10 +64,12 @@ Mapspace::slotCap(DimId d, int slot) const
         return 0; // unbounded
     const int level = slotLevel(slot);
     const auto &lvl = arch().level(level);
+    const std::uint8_t may = axisMask_[static_cast<std::size_t>(
+        level * problem().numDims() + d)];
     std::uint64_t cap = 1;
-    if (constraints_->spatialAllowed(level, d, SpatialAxis::X))
+    if ((may & 1) != 0)
         cap = std::max(cap, lvl.fanoutX);
-    if (constraints_->spatialAllowed(level, d, SpatialAxis::Y))
+    if ((may & 2) != 0)
         cap = std::max(cap, lvl.fanoutY);
     return cap;
 }
@@ -68,27 +81,51 @@ Mapspace::slotImperfect(int slot) const
                                : imperfectTemporal(variant_);
 }
 
-const std::vector<std::uint64_t> &
-DivisorMemo::divisorsOf(std::uint64_t n)
+void
+Mapspace::DivisorTables::build(const Problem &prob)
 {
-    auto it = table_.find(n);
-    if (it == table_.end()) {
-        if (table_.size() >= kMaxEntries)
-            table_.clear();
-        it = table_.emplace(n, divisors(n)).first;
+    dims.resize(static_cast<std::size_t>(prob.numDims()));
+    for (DimId d = 0; d < prob.numDims(); ++d) {
+        Dim &dim = dims[static_cast<std::size_t>(d)];
+        dim.size = prob.dimSize(d);
+        dim.split = 1;
+        while ((dim.split + 1) * (dim.split + 1) <= dim.size)
+            ++dim.split;
+        dim.byM = lists.size();
+        const std::size_t byK = dim.byM + dim.split + 1;
+        lists.resize(byK + ceilDiv(dim.size, dim.split + 1) + 1);
+        // Every reachable remaining count, largest first: m = ceil(D /
+        // k), and the next k is the first with ceil(D / k) < m.
+        for (std::uint64_t k = 1;;) {
+            const std::uint64_t m = ceilDiv(dim.size, k);
+            lists[m <= dim.split ? dim.byM + m : byK + k] = divisors(m);
+            if (m == 1)
+                break;
+            k = ceilDiv(dim.size, m - 1);
+        }
     }
-    return it->second;
+}
+
+const Mapspace::DivisorTables &
+Mapspace::divisorTables() const
+{
+    std::call_once(divisors_->built,
+                   [this] { divisors_->build(problem()); });
+    return *divisors_;
 }
 
 Mapping
 Mapspace::sample(Rng &rng) const
 {
-    // One memo and one set of rows per thread, reused by every draw
-    // of every mapspace: sample() allocates only the Mapping itself.
-    thread_local DivisorMemo memo;
-    thread_local Decisions decisions;
-    sampleInto(rng, decisions, memo);
+    Decisions decisions;
+    draw(rng, decisions, false);
     return materialize(decisions);
+}
+
+bool
+Mapspace::sampleInto(Rng &rng, Decisions &out) const
+{
+    return draw(rng, out, true);
 }
 
 Mapping
@@ -97,8 +134,8 @@ Mapspace::materialize(const Decisions &decisions) const
     return Mapping(problem(), arch(), decisions);
 }
 
-void
-Mapspace::sampleInto(Rng &rng, Decisions &out, DivisorMemo &memo) const
+bool
+Mapspace::draw(Rng &rng, Decisions &out, bool reject) const
 {
     const Problem &prob = problem();
     const ArchSpec &arch_spec = arch();
@@ -117,33 +154,55 @@ Mapspace::sampleInto(Rng &rng, Decisions &out, DivisorMemo &memo) const
     out.keep.resize(static_cast<std::size_t>(nl * nt));
     out.keepMask = 0;
     out.axisYMask = 0;
+    const DivisorTables &divisors = divisorTables();
 
-    auto &remaining = memo.remaining_;
-    remaining.resize(nd);
-    for (std::size_t d = 0; d < nd; ++d)
-        remaining[d] = prob.dimSize(static_cast<DimId>(d));
+    // Residency first: it decides which tensors each capacity counts.
+    // Endpoints keep everything; forced bypasses are honoured; the
+    // remaining intermediate (level, tensor) pairs are explored
+    // randomly.
+    for (int l = 0; l < nl; ++l)
+        for (int t = 0; t < nt; ++t) {
+            const bool interior = l > 0 && l < nl - 1;
+            const char flag =
+                interior && (constraints_->bypassForced(l, t) ||
+                             rng.below(2) == 0)
+                    ? 0
+                    : 1;
+            out.keep[static_cast<std::size_t>(l * nt + t)] = flag;
+            if (flag != 0 && packKeep)
+                out.keepMask |= std::uint64_t{1} << (l * nt + t);
+        }
 
-    // Visit dimensions in random order per slot so no dimension is
-    // systematically favoured for the shared spatial budget.
-    auto &order = memo.order_;
-    order.resize(nd);
-    std::iota(order.begin(), order.end(), 0);
+    // Work rows: the tile count left per dimension, the steady extent
+    // below the current slot, and the per-slot visit order.
+    std::uint64_t remaining[kMaxDims];
+    std::uint64_t extent[kMaxDims];
+    DimId order[kMaxDims];
+    const std::span<const std::uint64_t> extents(extent, nd);
+    for (std::size_t d = 0; d < nd; ++d) {
+        remaining[d] = prob.dimSizes()[d];
+        extent[d] = 1;
+        order[d] = static_cast<DimId>(d);
+    }
 
     for (int k = 0; k < slots; ++k) {
         const bool spatial = isSpatialSlot(k);
         const bool imperfect = slotImperfect(k);
         const bool last = k == slots - 1;
         const int level = slotLevel(k);
+        const StorageLevelSpec &lvl = arch_spec.level(level);
         // Independent mesh-axis budgets at spatial slots.
-        std::uint64_t budget_x =
-            spatial ? arch_spec.level(level).fanoutX : 0;
-        std::uint64_t budget_y =
-            spatial ? arch_spec.level(level).fanoutY : 0;
+        std::uint64_t budget_x = spatial ? lvl.fanoutX : 0;
+        std::uint64_t budget_y = spatial ? lvl.fanoutY : 0;
 
-        for (std::size_t i = order.size(); i-- > 0;)
-            std::swap(order[i], order[rng.below(i + 1)]);
+        // Dimensions compete only for a spatial budget; elsewhere the
+        // visit order cannot change any draw (see the file comment).
+        if (spatial && budget_x * budget_y > 1)
+            for (std::size_t i = nd; i-- > 1;)
+                std::swap(order[i], order[rng.below(i + 1)]);
 
-        for (DimId d : order) {
+        for (std::size_t i = 0; i < nd; ++i) {
+            const DimId d = order[i];
             auto &m = remaining[static_cast<std::size_t>(d)];
             const std::size_t axis_at =
                 static_cast<std::size_t>(level) * nd +
@@ -153,12 +212,9 @@ Mapspace::sampleInto(Rng &rng, Decisions &out, DivisorMemo &memo) const
             if (spatial) {
                 // Pick the mesh axis: among the axes this dimension
                 // may occupy, prefer ones with remaining room.
-                const bool may_x = constraints_->spatialAllowed(
-                    level, d, SpatialAxis::X);
-                const bool may_y = constraints_->spatialAllowed(
-                    level, d, SpatialAxis::Y);
-                const std::uint64_t cap_x = may_x ? budget_x : 0;
-                const std::uint64_t cap_y = may_y ? budget_y : 0;
+                const std::uint8_t may = axisMask_[axis_at];
+                const std::uint64_t cap_x = (may & 1) != 0 ? budget_x : 0;
+                const std::uint64_t cap_y = (may & 2) != 0 ? budget_y : 0;
                 if (cap_x > 1 && cap_y > 1)
                     axis = rng.below(2) == 0 ? SpatialAxis::X
                                              : SpatialAxis::Y;
@@ -175,8 +231,9 @@ Mapspace::sampleInto(Rng &rng, Decisions &out, DivisorMemo &memo) const
                 // The outermost temporal slot absorbs the residual.
                 choice = m;
             } else if (cap == 1 || m == 1) {
-                // Factor 1, the row's initial value: m and the budgets
-                // stay as they are. Most (dim, slot) pairs end here.
+                // Factor 1, the row's initial value: m, the extent and
+                // the budgets stay as they are. Most (dim, slot) pairs
+                // end here.
                 continue;
             } else if (imperfect) {
                 // Mixture proposal over the imperfect range: divisors
@@ -187,7 +244,7 @@ Mapspace::sampleInto(Rng &rng, Decisions &out, DivisorMemo &memo) const
                     cap == 0 ? m : cap, m);
                 switch (rng.below(3)) {
                   case 0: {
-                    const auto &divs = memo.divisorsOf(m);
+                    const auto &divs = divisors.of(d, m);
                     const auto usable = static_cast<std::size_t>(
                         std::upper_bound(divs.begin(), divs.end(), hi) -
                         divs.begin());
@@ -202,7 +259,7 @@ Mapspace::sampleInto(Rng &rng, Decisions &out, DivisorMemo &memo) const
                 }
             } else {
                 // Perfect slot: uniform over divisors of m within cap.
-                const auto &divs = memo.divisorsOf(m);
+                const auto &divs = divisors.of(d, m);
                 const auto usable = static_cast<std::size_t>(
                     cap == 0 ? divs.size()
                              : std::upper_bound(divs.begin(), divs.end(),
@@ -214,12 +271,26 @@ Mapspace::sampleInto(Rng &rng, Decisions &out, DivisorMemo &memo) const
                            static_cast<std::size_t>(slots) +
                        static_cast<std::size_t>(k)] = choice;
             m = ceilDiv(m, choice);
+            extent[static_cast<std::size_t>(d)] *= choice;
             if (spatial && choice > 1) {
                 auto &budget =
                     axis == SpatialAxis::X ? budget_x : budget_y;
                 RUBY_ASSERT(budget >= choice);
                 budget /= choice;
             }
+        }
+
+        // Level `level`'s tiles are final once its temporal slot is;
+        // the outermost level is the unbounded backing store.
+        if (reject && !spatial && level < nl - 1) {
+            const char *kept = out.keep.data() + level * nt;
+            std::uint64_t shared_used = 0;
+            if (capacityOverflow(
+                    lvl, nt,
+                    [&](int t) { return kept[t] != 0; },
+                    [&](int t) { return prob.tileVolume(t, extents); },
+                    shared_used) >= 0)
+                return false;
         }
     }
 
@@ -230,21 +301,7 @@ Mapspace::sampleInto(Rng &rng, Decisions &out, DivisorMemo &memo) const
         for (std::size_t i = nd; i-- > 1;)
             std::swap(perm[i], perm[rng.below(i + 1)]);
     }
-
-    // Residency: endpoints keep everything; forced bypasses honoured;
-    // remaining intermediate (level, tensor) pairs explored randomly.
-    for (int l = 0; l < nl; ++l)
-        for (int t = 0; t < nt; ++t) {
-            const bool interior = l > 0 && l < nl - 1;
-            const char flag =
-                interior && (constraints_->bypassForced(l, t) ||
-                             rng.below(2) == 0)
-                    ? 0
-                    : 1;
-            out.keep[static_cast<std::size_t>(l * nt + t)] = flag;
-            if (flag != 0 && packKeep)
-                out.keepMask |= std::uint64_t{1} << (l * nt + t);
-        }
+    return true;
 }
 
 } // namespace ruby

@@ -14,18 +14,43 @@
  * perfect slots, so Ruby-S chains carry remainders only at spatial
  * slots, Ruby-T only at temporal ones.
  *
+ * A draw makes the residency (keep) bits first, because interior
+ * residency decides which tensors a level's capacity counts, then the
+ * tiling slots inner to outer, and the loop orders last. Level l's
+ * steady tiles depend only on slots [0, 2l+2) (TileInfo::
+ * boundarySlot), so once slot 2l+1 is drawn sampleInto() checks level
+ * l's capacity with capacityOk()'s arithmetic and stops the draw on
+ * the first overflow. Spatial fit holds by construction, so a draw
+ * that completes is valid. The distribution is unchanged: a rejected
+ * draw is one the evaluator would reject, a completed one is exactly
+ * what sample() returns on the same stream, and each search draw
+ * reads its own keyed stream (Rng::keyed), so stopping one early
+ * shifts no other.
+ *
+ * The visit order of the dimensions is reshuffled only at spatial
+ * slots with fanout > 1, where they share the mesh-axis budgets. At
+ * temporal and fanout-1 slots each dimension's draw depends on its
+ * own m alone, so a shuffle would cost RNG calls and change nothing.
+ * The allowed mesh axes per (level, dimension) are tabulated at
+ * construction, the divisors of every reachable m = ceil(D / k) on
+ * the first draw (building a mapspace stays cheap); a Mapspace is
+ * logically immutable and may be shared across threads.
+ *
  * Sampling is split in two: sampleInto() writes one draw's decisions
  * into reused flat rows without allocating, and materialize() builds
  * the Mapping from them. Batched searches ingest the rows directly and
  * materialize only the few candidates that survive the batch stages;
- * sample() is the two steps back to back, so there is one sampler.
+ * sample() is the two steps back to back (never rejecting), so there
+ * is one sampler.
  */
 
 #ifndef RUBY_MAPSPACE_MAPSPACE_HPP
 #define RUBY_MAPSPACE_MAPSPACE_HPP
 
+#include <memory>
+#include <mutex>
+#include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "ruby/common/rng.hpp"
@@ -55,39 +80,6 @@ bool imperfectSpatial(MapspaceVariant variant);
 bool imperfectTemporal(MapspaceVariant variant);
 
 /**
- * Per-thread sampler state for Mapspace::sampleInto(): the ascending
- * divisors of every remaining tile count the sampler has drawn at,
- * computed on first use, plus the draw's two work rows. The sampler
- * only asks for m = ceil(D / k) of the problem's dimension sizes D, so
- * the table stays small; it depends on no mapspace and may be shared
- * by every search a thread runs. Never share one across threads.
- */
-class DivisorMemo
-{
-  public:
-    /**
-     * Ascending divisors of @p n (>= 1), memoized. The reference is
-     * valid until the next call.
-     */
-    const std::vector<std::uint64_t> &divisorsOf(std::uint64_t n);
-
-    /**
-     * Entries kept before the table starts over. A search needs a few
-     * hundred at most; the cap only bounds a long-lived thread that
-     * samples many distinct problems through sample().
-     */
-    static constexpr std::size_t kMaxEntries = 4096;
-
-  private:
-    friend class Mapspace;
-
-    std::unordered_map<std::uint64_t, std::vector<std::uint64_t>>
-        table_;
-    std::vector<std::uint64_t> remaining_; ///< tile count left per dim
-    std::vector<DimId> order_;             ///< per-slot visit order
-};
-
-/**
  * A mapspace over one (problem, architecture, constraints) triple.
  * The constraints object (and the problem/arch it references) must
  * outlive the mapspace.
@@ -95,6 +87,10 @@ class DivisorMemo
 class Mapspace
 {
   public:
+    /** Most problem dimensions a draw supports (its work rows live on
+     *  the stack); the constructor rejects larger problems. */
+    static constexpr int kMaxDims = 64;
+
     Mapspace(const MappingConstraints &constraints,
              MapspaceVariant variant);
 
@@ -107,19 +103,23 @@ class Mapspace
     MapspaceVariant variant() const { return variant_; }
 
     /**
-     * Draw a random mapping. Factor chains and spatial fanout usage
-     * are valid by construction; capacity may still be violated (the
-     * evaluator filters, mirroring Timeloop's generate-then-filter
-     * flow).
+     * Draw a random mapping, always to completion. Factor chains and
+     * spatial fanout usage are valid by construction; capacity may
+     * still be violated (the evaluator filters, mirroring Timeloop's
+     * generate-then-filter flow).
      */
     Mapping sample(Rng &rng) const;
 
     /**
-     * Draw the same random mapping sample() would (the same RNG calls
-     * in the same order) as flat decision rows in @p out, reusing its
-     * capacity: no heap allocation once @p out and @p memo have grown.
+     * Draw one mapping as flat decision rows in @p out, reusing its
+     * capacity (no heap allocation once @p out has grown). Returns
+     * false as soon as a level's kept tiles overflow its capacity;
+     * the rows are then incomplete and must not be used. On true the
+     * rows materialize to exactly the mapping sample() returns on the
+     * same stream, and that mapping passes the evaluator's validity
+     * check.
      */
-    void sampleInto(Rng &rng, Decisions &out, DivisorMemo &memo) const;
+    bool sampleInto(Rng &rng, Decisions &out) const;
 
     /** The Mapping of a draw made by sampleInto(). */
     Mapping materialize(const Decisions &decisions) const;
@@ -135,8 +135,54 @@ class Mapspace
     bool slotImperfect(int slot) const;
 
   private:
+    /**
+     * The ascending divisors of every remaining count m each dimension
+     * can reach, one list per m: dimension d's list for m is
+     * lists[dims[d].byM + m] when m <= split, else
+     * lists[dims[d].byM + split + 1 + ceil(D / m)] (the smallest k with
+     * ceil(D / k) == m: distinct for distinct reachable m, and at most
+     * about sqrt(D)).
+     */
+    struct DivisorTables
+    {
+        struct Dim
+        {
+            std::uint64_t size = 1;  ///< D
+            std::uint64_t split = 1; ///< floor(sqrt(D))
+            std::size_t byM = 0;
+        };
+
+        std::once_flag built;
+        std::vector<Dim> dims;
+        std::vector<std::vector<std::uint64_t>> lists;
+
+        void build(const Problem &prob);
+
+        /** Inline: a draw makes several lookups. */
+        const std::vector<std::uint64_t> &of(DimId d,
+                                             std::uint64_t m) const
+        {
+            const Dim &dim = dims[static_cast<std::size_t>(d)];
+            return lists[m <= dim.split ? dim.byM + m
+                                        : dim.byM + dim.split + 1 +
+                                              (dim.size + m - 1) / m];
+        }
+    };
+
+    /** The draw behind sample() (@p reject false: never stops) and
+     *  sampleInto() (@p reject true). */
+    bool draw(Rng &rng, Decisions &out, bool reject) const;
+
+    /** The divisor tables, built by the first caller. */
+    const DivisorTables &divisorTables() const;
+
     const MappingConstraints *constraints_;
     MapspaceVariant variant_;
+
+    /** Axes dimension d may occupy at level l, [l * nd + d]: bit 0 X,
+     *  bit 1 Y. */
+    std::vector<std::uint8_t> axisMask_;
+    std::unique_ptr<DivisorTables> divisors_;
 };
 
 } // namespace ruby

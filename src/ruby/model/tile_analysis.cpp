@@ -53,59 +53,35 @@ capacityCheckImpl(const Mapping &mapping, const TileInfo &tiles,
 {
     const Problem &prob = mapping.problem();
     const ArchSpec &arch = mapping.arch();
+    const int nt = prob.numTensors();
 
     // The outermost level is the unbounded backing store.
     for (int l = 0; l < arch.numLevels() - 1; ++l) {
         const auto &lvl = arch.level(l);
+        const auto &row = tiles.tileWords[static_cast<std::size_t>(l)];
         std::uint64_t shared_used = 0;
-        for (int t = 0; t < prob.numTensors(); ++t) {
-            if (!mapping.keeps(l, t))
-                continue;
-            const std::uint64_t tile =
-                tiles.tileWords[static_cast<std::size_t>(l)]
-                               [static_cast<std::size_t>(t)];
-            std::uint64_t partition = 0;
-            if (!lvl.perTensorCapacity.empty()) {
-                RUBY_CHECK(lvl.perTensorCapacity.size() ==
-                               static_cast<std::size_t>(
-                                   prob.numTensors()),
-                           "level ", lvl.name,
-                           ": per-tensor capacities must match the "
-                           "problem's tensor count");
-                partition =
-                    lvl.perTensorCapacity[static_cast<std::size_t>(t)];
-            }
-            if (partition > 0) {
-                if (tile > partition) {
-                    if (reason != nullptr) {
-                        std::ostringstream oss;
-                        oss << prob.tensor(t).name << " tile (" << tile
-                            << " words) exceeds " << lvl.name
-                            << " partition (" << partition << ")";
-                        *reason = oss.str();
-                    }
-                    return false;
-                }
-            } else {
-                shared_used += tile;
-            }
-        }
-        if (lvl.capacityWords > 0 && shared_used > lvl.capacityWords) {
-            if (reason != nullptr) {
-                std::ostringstream oss;
+        const int over = capacityOverflow(
+            lvl, nt, [&](int t) { return mapping.keeps(l, t); },
+            [&](int t) { return row[static_cast<std::size_t>(t)]; },
+            shared_used);
+        if (over < 0)
+            continue;
+        if (reason != nullptr) {
+            std::ostringstream oss;
+            if (over < nt)
+                oss << prob.tensor(over).name << " tile ("
+                    << row[static_cast<std::size_t>(over)]
+                    << " words) exceeds " << lvl.name << " partition ("
+                    << lvl.perTensorCapacity[static_cast<std::size_t>(
+                           over)]
+                    << ")";
+            else
                 oss << "shared tiles (" << shared_used
                     << " words) exceed " << lvl.name << " capacity ("
                     << lvl.capacityWords << ")";
-                *reason = oss.str();
-            }
-            return false;
+            *reason = oss.str();
         }
-        if (lvl.capacityWords == 0 && lvl.perTensorCapacity.empty() &&
-            shared_used > 0) {
-            // Bounded levels must declare some capacity; reaching here
-            // with an unbounded intermediate level is fine (used by
-            // tests), so no error.
-        }
+        return false;
     }
     return true;
 }

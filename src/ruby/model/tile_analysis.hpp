@@ -16,6 +16,7 @@
 #include <string>
 #include <vector>
 
+#include "ruby/common/error.hpp"
 #include "ruby/mapping/mapping.hpp"
 
 namespace ruby
@@ -58,6 +59,46 @@ std::string checkCapacity(const Mapping &mapping, const TileInfo &tiles);
  * reject branch allocation-free.
  */
 bool capacityOk(const Mapping &mapping, const TileInfo &tiles);
+
+/**
+ * One level's capacity walk, shared by capacityOk(), the sampler's
+ * early rejection and optimal search's range test: kept tiles
+ * (@p kept(t)) of @p tile(t) words go to their partition, the rest to
+ * the shared pool (total left in @p shared_used). Returns the first
+ * tensor overflowing its partition, nt when the pool overflows, else
+ * -1. Throws on a partition table that is not one entry per tensor.
+ */
+template <typename Kept, typename Tile>
+int
+capacityOverflow(const StorageLevelSpec &lvl, int nt, Kept kept,
+                 Tile tile, std::uint64_t &shared_used)
+{
+    RUBY_CHECK(lvl.perTensorCapacity.empty() ||
+                   lvl.perTensorCapacity.size() ==
+                       static_cast<std::size_t>(nt),
+               "level ", lvl.name,
+               ": per-tensor capacities must match the problem's "
+               "tensor count");
+    shared_used = 0;
+    for (int t = 0; t < nt; ++t) {
+        if (!kept(t))
+            continue;
+        const std::uint64_t words = tile(t);
+        const std::uint64_t partition =
+            lvl.perTensorCapacity.empty()
+                ? 0
+                : lvl.perTensorCapacity[static_cast<std::size_t>(t)];
+        if (partition > 0) {
+            if (words > partition)
+                return t;
+        } else {
+            shared_used += words;
+        }
+    }
+    return lvl.capacityWords > 0 && shared_used > lvl.capacityWords
+               ? nt
+               : -1;
+}
 
 /**
  * Check that each level's steady spatial usage fits its fanout.

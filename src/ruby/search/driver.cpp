@@ -172,9 +172,7 @@ makeCancelSkipped(const Layer &layer)
  * Whether a sweep's outcomes may be served from / published into a
  * cross-sweep LayerMemo. Only configurations that reproduce the same
  * outcome on every run qualify: no wall-clock budgets (shares are
- * scheduling-dependent), no fault injection, and no multi-threaded
- * random sampling (the one strategy whose result depends on thread
- * interleaving). Exhaustive, genetic and local searches are
+ * scheduling-dependent) and no fault injection. Every strategy is
  * deterministic for any fixed option set, which the key encodes.
  */
 bool
@@ -186,9 +184,6 @@ layerMemoEligible(const SearchOptions &options)
         options.networkTimeBudget.count() != 0)
         return false;
     if (FaultInjector::global().enabled())
-        return false;
-    if (options.strategy == SearchStrategy::Random &&
-        options.threads != 1)
         return false;
     return true;
 }

@@ -281,12 +281,11 @@ class BnbWorker
         const Problem &prob = ctx_.space.problem();
         const ArchSpec &arch = ctx_.space.arch();
         // Capacity at every bounded level (the outermost level is
-        // the unbounded backing store), mirroring capacityCheckImpl
-        // over the keep-all residency the enumeration uses.
+        // the unbounded backing store), capacityCheckImpl's walk over
+        // the keep-all residency the enumeration uses.
         for (int l = 0; l < nl_ - 1; ++l) {
             const auto &lvl = arch.level(l);
-            const bool partitioned = !lvl.perTensorCapacity.empty();
-            if (!partitioned && lvl.capacityWords == 0)
+            if (lvl.perTensorCapacity.empty() && lvl.capacityWords == 0)
                 continue;
             const std::size_t sl = static_cast<std::size_t>(l);
             for (DimId d = 0; d < nd_; ++d) {
@@ -296,22 +295,14 @@ class BnbWorker
                                     : ctx_.minExt[sd][sl];
             }
             std::uint64_t shared = 0;
-            for (int t = 0; t < nt_; ++t) {
-                if (!ctx_.keep[sl][static_cast<std::size_t>(t)])
-                    continue;
-                const std::uint64_t tile = prob.tileVolume(t, extLB_);
-                const std::uint64_t partition =
-                    partitioned ? lvl.perTensorCapacity
-                                      [static_cast<std::size_t>(t)]
-                                : 0;
-                if (partition > 0) {
-                    if (tile > partition)
-                        return true;
-                } else {
-                    shared += tile;
-                }
-            }
-            if (lvl.capacityWords > 0 && shared > lvl.capacityWords)
+            if (capacityOverflow(
+                    lvl, nt_,
+                    [&](int t) {
+                        return ctx_.keep[sl][static_cast<std::size_t>(
+                                   t)] != 0;
+                    },
+                    [&](int t) { return prob.tileVolume(t, extLB_); },
+                    shared) >= 0)
                 return true;
         }
         // Spatial fanout: the enumerated mappings declare no mesh

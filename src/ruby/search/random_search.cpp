@@ -1,9 +1,11 @@
 #include "ruby/search/random_search.hpp"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <map>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -75,459 +77,324 @@ resolveOptions(const SearchOptions &options)
     return opts;
 }
 
-/** What one drawn sample turned out to be. */
-struct SampleOutcome
+/** How one drawn index was decided. */
+enum class Fate : char
 {
-    bool valid = false;   ///< passed validity
-    bool modeled = false; ///< scratch.result holds full-model output
+    Rejected, ///< the sampler stopped the draw on a capacity overflow
+    Invalid,  ///< completed, but failed the validity stage
+    Pruned,   ///< valid; its lower bound cannot beat the threshold
+    Modeled,  ///< valid and fully modeled
+};
+
+struct Verdict
+{
+    Fate fate = Fate::Rejected;
     double metric = kInf; ///< objective when modeled
 };
 
-/**
- * The per-sample fast path, cheapest check first:
- *
- *   validity -> objective lower bound -> full model.
- */
-SampleOutcome
-evalSample(const Mapping &mapping, const Evaluator &evaluator,
-           const SearchOptions &opts, double bestSoFar,
-           EvalScratch &scratch, EvalStats &stats)
+/** A modeled draw that beat its pruning threshold: only these can
+ *  become the incumbent at commit, so only these keep a Mapping. */
+struct Candidate
 {
-    SampleOutcome out;
-    if (!evaluator.checkValidity(mapping, scratch, false)) {
-        ++stats.invalid;
-        return out;
-    }
-    out.valid = true;
-    // Provably non-improving: the metric stays kInf, which is fine
-    // because the caller only compares it for strict improvement.
-    if (opts.boundPruning &&
-        evaluator.objectiveLowerBound(mapping, opts.objective) >=
-            bestSoFar) {
-        ++stats.prunedBound;
-        return out;
-    }
-    evaluator.modelValidated(mapping, scratch);
-    ++stats.modeled;
-    out.modeled = true;
-    out.metric = scratch.result.objective(opts.objective);
-    return out;
-}
+    std::size_t lane;
+    Mapping mapping;
+    EvalResult result;
+};
 
-/**
- * The batched twin of evalSample(): validity and bound were computed
- * batch-wide by BatchEvaluator::run(); everything from the prune on —
- * the full model and the counter bumps — replays the scalar sequence
- * exactly, against the same live @p bestSoFar, so the two paths are
- * bit-identical per candidate.
- *
- * Lanes are ingested as flat decisions; the Mapping that the full
- * model needs is built into @p mapping only past the prune, so the
- * ~90 % of draws that die in the batch stages never construct one.
- * @p mapping is left empty for those.
- */
-SampleOutcome
-consumeBatched(const BatchEvaluator &batch, std::size_t j,
-               const Decisions &drawn, const Mapspace &space,
-               const Evaluator &evaluator, const SearchOptions &opts,
-               double bestSoFar, EvalScratch &scratch, EvalStats &stats,
-               std::optional<Mapping> &mapping)
+/** One claimed block of consecutive draw indices, decided and
+ *  waiting for its commit. */
+struct Block
 {
-    SampleOutcome out;
-    ++stats.batchedEvals;
-    if (!batch.valid(j)) {
-        ++stats.invalid;
-        ++stats.batchRejects;
-        return out;
-    }
-    out.valid = true;
-    if (opts.boundPruning && batch.bound(j) >= bestSoFar) {
-        ++stats.prunedBound;
-        return out;
-    }
-    mapping.emplace(space.materialize(drawn));
-    batch.prepareScratch(j, scratch);
-    evaluator.modelValidated(*mapping, scratch);
-    ++stats.modeled;
-    out.modeled = true;
-    out.metric = scratch.result.objective(opts.objective);
-    return out;
-}
-
-/** Shared best-so-far state for the multithreaded path. */
-struct SharedState
-{
-    std::mutex mutex;
-    std::optional<Mapping> best;
-    EvalResult bestResult;
-    double bestObjective = kInf;
-    EvalStats stats; ///< merged per-shard counters (under mutex)
-    SearchTimers timers; ///< merged per-shard stage time (under mutex)
-    /** Lock-free snapshot of bestObjective for the pruning stage; a
-     *  stale read is only ever too *large*, which prunes less, never
-     *  wrongly. */
-    std::atomic<double> bestSnapshot{kInf};
-    std::atomic<std::uint64_t> evaluated{0};
-    std::atomic<std::uint64_t> valid{0};
-    std::atomic<std::uint64_t> streak{0};
-    std::atomic<bool> stop{false};
-    std::atomic<bool> deadlineHit{false};
+    std::uint64_t number = 0; ///< draws [number * K, number * K + size)
+    std::size_t size = 0;
+    bool ranBatch = false; ///< one BatchEvaluator::run() was made
+    std::array<Verdict, kDefaultEvalBatch> verdicts;
+    std::vector<Candidate> candidates; ///< ascending lane
 };
 
 /**
- * Claim one evaluation against the shared cap before deciding a
- * candidate. A shard decides a candidate only with a ticket in hand,
- * so concurrent shards can never overshoot maxEvaluations (@p cap; 0
- * is unlimited), and every ticket is one decided candidate, which
- * keeps decided() == evaluated.
+ * One restart's state, shared by its workers. Workers claim draw
+ * indices a block at a time with one fetch_add, draw and decide the
+ * block on their own, and commit blocks strictly in index order under
+ * `mutex`: whoever holds the next block commits it and any parked
+ * successors. Every committed fact is therefore a function of the
+ * index sequence alone, whatever the thread count.
  */
-bool
-claimEvaluation(std::atomic<std::uint64_t> &evaluated, std::uint64_t cap)
+struct Search
 {
-    if (cap == 0) {
-        evaluated.fetch_add(1, std::memory_order_relaxed);
-        return true;
-    }
-    std::uint64_t seen = evaluated.load(std::memory_order_relaxed);
-    do {
-        if (seen >= cap)
-            return false;
-    } while (!evaluated.compare_exchange_weak(
-        seen, seen + 1, std::memory_order_relaxed));
-    return true;
-}
+    const Mapspace &space;
+    const Evaluator &evaluator;
+    const SearchOptions &opts;
+    const Deadline &deadline;
+    const bool batched; ///< scored through the batch engine
 
+    std::atomic<std::uint64_t> nextBlock{0};
+    std::atomic<bool> stop{false};
+    /** Best committed objective; only ever decreases. */
+    std::atomic<double> committedBest{kInf};
+
+    std::mutex mutex{}; ///< guards everything below
+    std::uint64_t nextCommit = 0;
+    /** First block that never commits (the deadline cut). */
+    std::uint64_t endBlock = std::numeric_limits<std::uint64_t>::max();
+    bool finished = false; ///< the streak or the cap ended the search
+    std::map<std::uint64_t, Block> parked{}; ///< decided, by number
+    double best = kInf;
+    std::uint64_t streak = 0;
+    SearchResult out{};
+};
+
+/**
+ * Apply one block's verdicts in index order: the counters, the
+ * strict-< incumbent (so the lowest index wins ties), the trajectory,
+ * the streak stop and the maxEvaluations cap. Draws past the stop are
+ * discarded uncounted, which keeps invalid + prunedBound + modeled ==
+ * evaluated exact.
+ */
 void
-shardLoop(const Mapspace &space, const Evaluator &evaluator,
-          const SearchOptions &opts, Rng rng, SharedState &state,
-          const CancelToken &cancel, const Deadline &deadline)
+commitBlock(Search &s, Block &block)
 {
-    FaultInjector &faults = FaultInjector::global();
-    EvalScratch scratch;
-    EvalStats stats;
-    std::uint64_t local = 0;
-    while (!state.stop.load(std::memory_order_relaxed)) {
-        if (cancel.cancelled())
-            break;
-        if ((local++ % kDeadlineStride) == 0 &&
-            (deadline.expired() ||
-             (opts.cancel != nullptr && opts.cancel->cancelled()))) {
-            state.deadlineHit.store(true, std::memory_order_relaxed);
-            state.stop.store(true, std::memory_order_relaxed);
-            break;
+    ++s.nextCommit;
+    if (s.finished || block.number >= s.endBlock)
+        return;
+    const SearchOptions &opts = s.opts;
+    EvalStats &stats = s.out.stats;
+    auto candidate = block.candidates.begin();
+    for (std::size_t j = 0; j < block.size; ++j) {
+        const Verdict &v = block.verdicts[j];
+        ++s.out.evaluated;
+        stats.invalid += v.fate == Fate::Rejected || v.fate == Fate::Invalid;
+        stats.prunedBound += v.fate == Fate::Pruned;
+        stats.modeled += v.fate == Fate::Modeled;
+        if (s.batched && v.fate != Fate::Rejected) {
+            ++stats.batchedEvals;
+            stats.batchRejects += v.fate == Fate::Invalid;
         }
-        if (!claimEvaluation(state.evaluated, opts.maxEvaluations)) {
-            state.stop.store(true, std::memory_order_relaxed);
-            break;
-        }
-        const Mapping mapping = space.sample(rng);
-        if (faults.enabled())
-            faults.maybeThrow("random_search.evaluate");
-        const double bestSoFar =
-            state.bestSnapshot.load(std::memory_order_relaxed);
-        const SampleOutcome sample =
-            evalSample(mapping, evaluator, opts, bestSoFar, scratch,
-                       stats);
-        if (!sample.valid)
-            continue;
-        state.valid.fetch_add(1, std::memory_order_relaxed);
-
-        bool improved = false;
-        if (sample.modeled) {
-            std::lock_guard lock(state.mutex);
-            if (sample.metric < state.bestObjective) {
-                state.bestObjective = sample.metric;
-                state.bestSnapshot.store(sample.metric,
-                                         std::memory_order_relaxed);
-                state.best = mapping;
-                state.bestResult = scratch.result;
-                improved = true;
+        if (v.fate == Fate::Pruned || v.fate == Fate::Modeled) {
+            ++s.out.valid;
+            if (v.fate == Fate::Modeled && v.metric < s.best) {
+                // A strict improvement beat the worker's threshold
+                // too (that threshold was never below this prefix's
+                // best), so the worker kept its mapping.
+                while (candidate != block.candidates.end() &&
+                       candidate->lane < j)
+                    ++candidate;
+                RUBY_ASSERT(candidate != block.candidates.end() &&
+                            candidate->lane == j);
+                s.best = v.metric;
+                s.out.best = std::move(candidate->mapping);
+                s.out.bestResult = std::move(candidate->result);
+                s.streak = 0;
+            } else {
+                ++s.streak;
             }
         }
-        if (improved) {
-            state.streak.store(0, std::memory_order_relaxed);
-        } else if (opts.terminationStreak != 0) {
-            const auto streak =
-                state.streak.fetch_add(1, std::memory_order_relaxed) +
-                1;
-            if (streak >= opts.terminationStreak)
-                state.stop.store(true, std::memory_order_relaxed);
+        if (opts.recordTrajectory)
+            s.out.trajectory.push_back(s.best);
+        if (opts.terminationStreak != 0 &&
+            s.streak >= opts.terminationStreak) {
+            s.finished = true;
+            break;
         }
     }
-    std::lock_guard lock(state.mutex);
-    state.stats += stats;
+    if (block.ranBatch)
+        ++stats.batchCalls;
+    if (opts.maxEvaluations != 0 &&
+        s.out.evaluated >= opts.maxEvaluations)
+        s.finished = true;
+    if (s.finished)
+        s.stop.store(true, std::memory_order_relaxed);
+    s.committedBest.store(s.best, std::memory_order_relaxed);
 }
 
 /**
- * shardLoop() with the K-wide batch front end. Samples are pre-drawn
- * as flat decisions (evaluation never touches the RNG, so the stream
- * is unchanged; draws abandoned at a stop point are simply discarded)
- * and every per-candidate check — stop flag, cancellation, deadline
- * stride, the maxEvaluations ticket — runs at consumption, in the
- * scalar order, so the stop points and counter totals match the
- * scalar shard exactly. Drawing and ingesting a batch is charged to
- * timers.breedNs, running and consuming it to timers.evalNs, with one
- * clock read per stage per batch.
+ * Decide draw @p j of a block, cheapest check first (validity ->
+ * objective lower bound -> full model), from the batch engine's lane
+ * @p lane or through the scalar evaluator, identically. A draw whose
+ * bound cannot beat @p threshold is pruned; a modeled draw that beats
+ * it tightens the threshold and becomes a candidate.
  */
 void
-shardLoopBatched(const Mapspace &space, const Evaluator &evaluator,
-                 const SearchOptions &opts, Rng rng,
-                 SharedState &state, const CancelToken &cancel,
-                 const Deadline &deadline)
+decideLane(const Search &s, const BatchEvaluator *batch,
+           std::size_t lane, const Decisions &drawn, std::size_t j,
+           double &threshold, EvalScratch &scratch, Block &block)
 {
+    const SearchOptions &opts = s.opts;
+    Verdict &v = block.verdicts[j];
+    std::optional<Mapping> mapping;
+    if (batch != nullptr) {
+        if (!batch->valid(lane)) {
+            v.fate = Fate::Invalid;
+            return;
+        }
+        if (opts.boundPruning && batch->bound(lane) >= threshold) {
+            v.fate = Fate::Pruned;
+            return;
+        }
+        mapping.emplace(s.space.materialize(drawn));
+        batch->prepareScratch(lane, scratch);
+    } else {
+        mapping.emplace(s.space.materialize(drawn));
+        if (!s.evaluator.checkValidity(*mapping, scratch, false)) {
+            v.fate = Fate::Invalid;
+            return;
+        }
+        if (opts.boundPruning &&
+            s.evaluator.objectiveLowerBound(*mapping, opts.objective) >=
+                threshold) {
+            v.fate = Fate::Pruned;
+            return;
+        }
+    }
+    s.evaluator.modelValidated(*mapping, scratch);
+    v.fate = Fate::Modeled;
+    v.metric = scratch.result.objective(opts.objective);
+    if (v.metric < threshold) {
+        threshold = v.metric;
+        block.candidates.push_back(
+            Candidate{j, std::move(*mapping), scratch.result});
+    }
+}
+
+/**
+ * One worker: claim a block, draw it (draw i reads its own keyed
+ * stream; a draw the sampler rejects takes no batch lane), run the
+ * batch stages over the completed draws, decide them in order, and
+ * commit. Drawing is charged to timers.breedNs, deciding to evalNs,
+ * committing to reduceNs.
+ *
+ * The pruning threshold folds the committed prefix's best (possibly
+ * stale, so never below the best before the block) with the block's
+ * own running best, so it is never below the best of all draws before
+ * the one it judges: a pruned draw is never a strict improvement.
+ */
+void
+runWorker(Search &s, const CancelToken &cancel)
+{
+    const SearchOptions &opts = s.opts;
     FaultInjector &faults = FaultInjector::global();
     EvalScratch scratch;
-    EvalStats stats;
-    SearchTimers timers;
-    BatchEvaluator batch(evaluator);
-    DivisorMemo memo;
+    std::optional<BatchEvaluator> batch;
+    if (s.batched)
+        batch.emplace(s.evaluator);
+    EvalStats unused; // the commit counts batch calls, not run()
     std::vector<Decisions> drawn(kDefaultEvalBatch);
-    std::uint64_t local = 0;
-    bool done = false;
-    while (!done) {
-        std::size_t want = kDefaultEvalBatch;
-        if (opts.maxEvaluations != 0) {
-            const std::uint64_t seen =
-                state.evaluated.load(std::memory_order_relaxed);
-            if (seen >= opts.maxEvaluations)
-                break;
-            want = static_cast<std::size_t>(
-                std::min<std::uint64_t>(want,
-                                        opts.maxEvaluations - seen));
+    std::array<std::size_t, kDefaultEvalBatch> laneOf{};
+    SearchTimers timers;
+    Block block;
+
+    while (!s.stop.load(std::memory_order_relaxed) &&
+           !cancel.cancelled()) {
+        const std::uint64_t number =
+            s.nextBlock.fetch_add(1, std::memory_order_relaxed);
+        const std::uint64_t first = number * kDefaultEvalBatch;
+        if (opts.maxEvaluations != 0 && first >= opts.maxEvaluations)
+            break;
+        if (s.deadline.expired() ||
+            (opts.cancel != nullptr && opts.cancel->cancelled())) {
+            std::lock_guard lock(s.mutex);
+            s.endBlock = std::min(s.endBlock, number);
+            s.stop.store(true, std::memory_order_relaxed);
+            break;
         }
+        const std::size_t size =
+            opts.maxEvaluations == 0
+                ? kDefaultEvalBatch
+                : static_cast<std::size_t>(std::min<std::uint64_t>(
+                      kDefaultEvalBatch, opts.maxEvaluations - first));
+        block.number = number;
+        block.size = size;
+        block.candidates.clear();
+
         const auto draw0 = Clock::now();
-        batch.begin(want);
-        for (std::size_t j = 0; j < want; ++j) {
-            space.sampleInto(rng, drawn[j], memo);
-            batch.add(drawn[j]);
+        std::size_t lanes = 0;
+        if (batch)
+            batch->begin(size);
+        for (std::size_t j = 0; j < size; ++j) {
+            Rng rng = Rng::keyed(opts.seed, first + j);
+            const bool completed = s.space.sampleInto(rng, drawn[j]);
+            // A completed draw's verdict is set by decideLane() below.
+            block.verdicts[j] =
+                Verdict{completed ? Fate::Invalid : Fate::Rejected, kInf};
+            if (completed && batch) {
+                laneOf[j] = lanes++;
+                batch->add(drawn[j]);
+            }
         }
         const auto eval0 = Clock::now();
         timers.breedNs += nsBetween(draw0, eval0);
-        batch.run(opts.objective, stats, opts.boundPruning);
-        for (std::size_t j = 0; j < want; ++j) {
-            if (state.stop.load(std::memory_order_relaxed) ||
-                cancel.cancelled()) {
-                done = true;
-                break;
-            }
-            if ((local++ % kDeadlineStride) == 0 &&
-                (deadline.expired() ||
-                 (opts.cancel != nullptr &&
-                  opts.cancel->cancelled()))) {
-                state.deadlineHit.store(true,
-                                        std::memory_order_relaxed);
-                state.stop.store(true, std::memory_order_relaxed);
-                done = true;
-                break;
-            }
-            if (!claimEvaluation(state.evaluated,
-                                 opts.maxEvaluations)) {
-                state.stop.store(true, std::memory_order_relaxed);
-                done = true;
-                break;
-            }
+        block.ranBatch = lanes > 0;
+        if (block.ranBatch)
+            batch->run(opts.objective, unused, opts.boundPruning);
+        double threshold = kInf;
+        for (std::size_t j = 0; j < size; ++j) {
             if (faults.enabled())
                 faults.maybeThrow("random_search.evaluate");
-            const double bestSoFar =
-                state.bestSnapshot.load(std::memory_order_relaxed);
-            std::optional<Mapping> mapping;
-            const SampleOutcome sample = consumeBatched(
-                batch, j, drawn[j], space, evaluator, opts, bestSoFar,
-                scratch, stats, mapping);
-            if (!sample.valid)
+            if (block.verdicts[j].fate == Fate::Rejected)
                 continue;
-            state.valid.fetch_add(1, std::memory_order_relaxed);
+            threshold = std::min(
+                threshold,
+                s.committedBest.load(std::memory_order_relaxed));
+            decideLane(s, batch ? &*batch : nullptr, laneOf[j],
+                       drawn[j], j, threshold, scratch, block);
+        }
+        const auto commit0 = Clock::now();
+        timers.evalNs += nsBetween(eval0, commit0);
 
-            bool improved = false;
-            if (sample.modeled) {
-                std::lock_guard lock(state.mutex);
-                if (sample.metric < state.bestObjective) {
-                    state.bestObjective = sample.metric;
-                    state.bestSnapshot.store(
-                        sample.metric, std::memory_order_relaxed);
-                    state.best = std::move(mapping);
-                    state.bestResult = scratch.result;
-                    improved = true;
-                }
-            }
-            if (improved) {
-                state.streak.store(0, std::memory_order_relaxed);
-            } else if (opts.terminationStreak != 0) {
-                const auto streak =
-                    state.streak.fetch_add(
-                        1, std::memory_order_relaxed) +
-                    1;
-                if (streak >= opts.terminationStreak)
-                    state.stop.store(true, std::memory_order_relaxed);
+        std::lock_guard lock(s.mutex);
+        if (number != s.nextCommit) {
+            s.parked.emplace(number, std::move(block));
+        } else {
+            commitBlock(s, block);
+            for (auto it = s.parked.find(s.nextCommit);
+                 it != s.parked.end(); it = s.parked.find(s.nextCommit)) {
+                commitBlock(s, it->second);
+                s.parked.erase(it);
             }
         }
-        timers.evalNs += nsSince(eval0);
+        timers.reduceNs += nsSince(commit0);
     }
-    std::lock_guard lock(state.mutex);
-    state.stats += stats;
-    state.timers += timers;
+    std::lock_guard lock(s.mutex);
+    s.out.timers += timers;
 }
 
+/**
+ * One restart: the single sampling loop, at any thread count. The
+ * calling thread is one worker and an exception-safe pool runs the
+ * rest: a pool worker that throws (e.g. an injected fault) trips the
+ * pool's cancel token, the others observe it and drain, and
+ * waitIdle() rethrows once the pool is quiescent; when the calling
+ * thread throws, the stop flag drains the pool before it is joined.
+ */
 SearchResult
 runOne(const Mapspace &space, const Evaluator &evaluator,
        const SearchOptions &options, const Deadline &deadline)
 {
-    SearchResult out;
-
     // Rare configurations whose keep/axis tables overflow the batch
-    // engine's mask lanes simply take the scalar path.
-    const bool batched =
-        options.batchEval &&
-        BatchEvaluator::supports(evaluator.problem(),
-                                 evaluator.arch());
-
-    if ((options.recordTrajectory || options.threads <= 1) &&
-        batched) {
-        // The K-wide serial loop. Checks run per consumed candidate at
-        // the same global index i as the scalar loop below, the
-        // incumbent is live across the batch, and abandoned draws are
-        // discarded uncounted — so best mapping, trajectory, and every
-        // counter are bit-identical to the scalar path at any K. Stage
-        // time is charged as in shardLoopBatched().
-        FaultInjector &faults = FaultInjector::global();
-        Rng rng(options.seed);
-        EvalScratch scratch;
-        BatchEvaluator batch(evaluator);
-        DivisorMemo memo;
-        std::vector<Decisions> drawn(kDefaultEvalBatch);
-        double best = kInf;
-        std::uint64_t streak = 0;
-        std::uint64_t i = 0;
-        bool done = false;
-        while (!done) {
-            std::size_t want = kDefaultEvalBatch;
-            if (options.maxEvaluations != 0) {
-                if (i >= options.maxEvaluations)
-                    break;
-                want = static_cast<std::size_t>(std::min<std::uint64_t>(
-                    want, options.maxEvaluations - i));
-            }
-            const auto draw0 = Clock::now();
-            batch.begin(want);
-            for (std::size_t j = 0; j < want; ++j) {
-                space.sampleInto(rng, drawn[j], memo);
-                batch.add(drawn[j]);
-            }
-            const auto eval0 = Clock::now();
-            out.timers.breedNs += nsBetween(draw0, eval0);
-            batch.run(options.objective, out.stats,
-                      options.boundPruning);
-            for (std::size_t j = 0; j < want; ++j, ++i) {
-                if ((i % kDeadlineStride) == 0 &&
-                    (deadline.expired() ||
-                     (options.cancel != nullptr &&
-                      options.cancel->cancelled()))) {
-                    out.deadlineExceeded = true;
-                    done = true;
-                    break;
-                }
-                if (faults.enabled())
-                    faults.maybeThrow("random_search.evaluate");
-                std::optional<Mapping> mapping;
-                const SampleOutcome sample = consumeBatched(
-                    batch, j, drawn[j], space, evaluator, options, best,
-                    scratch, out.stats, mapping);
-                ++out.evaluated;
-                if (sample.valid) {
-                    ++out.valid;
-                    if (sample.modeled && sample.metric < best) {
-                        best = sample.metric;
-                        out.best = std::move(mapping);
-                        out.bestResult = scratch.result;
-                        streak = 0;
-                    } else {
-                        ++streak;
-                    }
-                }
-                if (options.recordTrajectory)
-                    out.trajectory.push_back(best);
-                if (options.terminationStreak != 0 &&
-                    streak >= options.terminationStreak) {
-                    done = true;
-                    break;
-                }
-            }
-            out.timers.evalNs += nsSince(eval0);
-        }
-        return out;
+    // engine's mask lanes are scored by the scalar step.
+    Search s{space, evaluator, options, deadline,
+             options.batchEval &&
+                 BatchEvaluator::supports(evaluator.problem(),
+                                          evaluator.arch())};
+    const CancelToken never;
+    std::optional<ThreadPool> pool;
+    if (options.threads > 1) {
+        pool.emplace(options.threads - 1);
+        for (unsigned i = 1; i < options.threads; ++i)
+            pool->submit([&] { runWorker(s, pool->cancelToken()); });
     }
-
-    if (options.recordTrajectory || options.threads <= 1) {
-        FaultInjector &faults = FaultInjector::global();
-        Rng rng(options.seed);
-        EvalScratch scratch;
-        double best = kInf;
-        std::uint64_t streak = 0;
-        for (std::uint64_t i = 0;; ++i) {
-            if (options.maxEvaluations != 0 &&
-                i >= options.maxEvaluations)
-                break;
-            if ((i % kDeadlineStride) == 0 &&
-                (deadline.expired() ||
-                 (options.cancel != nullptr &&
-                  options.cancel->cancelled()))) {
-                out.deadlineExceeded = true;
-                break;
-            }
-            const Mapping mapping = space.sample(rng);
-            if (faults.enabled())
-                faults.maybeThrow("random_search.evaluate");
-            const SampleOutcome sample =
-                evalSample(mapping, evaluator, options, best, scratch,
-                           out.stats);
-            ++out.evaluated;
-            if (sample.valid) {
-                ++out.valid;
-                if (sample.modeled && sample.metric < best) {
-                    best = sample.metric;
-                    out.best = mapping;
-                    out.bestResult = scratch.result;
-                    streak = 0;
-                } else {
-                    ++streak;
-                }
-            }
-            if (options.recordTrajectory)
-                out.trajectory.push_back(best);
-            if (options.terminationStreak != 0 &&
-                streak >= options.terminationStreak)
-                break;
-        }
-        return out;
+    try {
+        runWorker(s, pool ? pool->cancelToken() : never);
+    } catch (...) {
+        s.stop.store(true, std::memory_order_relaxed);
+        throw;
     }
-
-    // One shard per worker on an exception-safe pool: a shard that
-    // throws (e.g. an injected fault) trips the pool's cancel token,
-    // the remaining shards observe it and drain, and waitIdle()
-    // rethrows the failure once the pool is quiescent.
-    SharedState state;
-    ThreadPool pool(options.threads);
-    const CancelToken &cancel = pool.cancelToken();
-    Rng seeder(options.seed);
-    for (unsigned i = 0; i < options.threads; ++i)
-        pool.submit([&, stream = seeder.split()]() mutable {
-            if (batched)
-                shardLoopBatched(space, evaluator, options, stream,
-                                 state, cancel, deadline);
-            else
-                shardLoop(space, evaluator, options, stream, state,
-                          cancel, deadline);
-        });
-    pool.waitIdle();
-
-    out.best = std::move(state.best);
-    out.bestResult = std::move(state.bestResult);
-    out.evaluated = state.evaluated.load();
-    out.valid = state.valid.load();
-    out.stats = state.stats;
-    out.timers = state.timers;
-    out.deadlineExceeded = state.deadlineHit.load();
-    return out;
+    if (pool)
+        pool->waitIdle();
+    s.out.deadlineExceeded =
+        s.endBlock != std::numeric_limits<std::uint64_t>::max() &&
+        !s.finished;
+    return std::move(s.out);
 }
 
 /**

@@ -2,6 +2,11 @@
  * @file
  * Timeloop-style random-sampling mapspace search (the only search the
  * paper uses, to isolate mapspace quality from search heuristics).
+ *
+ * Draw i of a restart reads its own keyed stream, Rng::keyed(seed, i),
+ * and draws are committed strictly in index order, so the best
+ * mapping, the counters and the trajectory do not depend on the
+ * thread count; only the bound-pruned/modeled split may shift.
  */
 
 #ifndef RUBY_SEARCH_RANDOM_SEARCH_HPP
@@ -53,7 +58,8 @@ struct SearchOptions
     /** Hard cap on evaluated mappings (0 = unlimited). */
     std::uint64_t maxEvaluations = 0;
 
-    /** RNG seed; searches are deterministic per (seed, threads). */
+    /** RNG seed. A random search's answer never depends on threads;
+     *  see each strategy for its own contract. */
     std::uint64_t seed = 42;
 
     /**
@@ -88,7 +94,7 @@ struct SearchOptions
 
     /**
      * Record the best-objective-so-far after every evaluated mapping
-     * (Fig. 7 trajectories). Forces single-threaded execution.
+     * (Fig. 7 trajectories). Random search runs one restart when set.
      */
     bool recordTrajectory = false;
 

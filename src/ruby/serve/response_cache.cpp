@@ -27,19 +27,16 @@ responseCacheKey(const Request &request)
         request.type != RequestType::Net)
         return {};
     // Mirror the layer memo's determinism contract: a wall-clock
-    // budget makes the outcome depend on host speed, fault injection
-    // makes it depend on the injection schedule, and random sampling
-    // above one thread depends on interleaving. (Unlike the memo,
-    // no sharedLayerMemo/layerMemo requirement: the response cache
-    // replays whole responses, not per-layer outcomes.)
+    // budget makes the outcome depend on host speed, and fault
+    // injection makes it depend on the injection schedule. (Unlike
+    // the memo, no sharedLayerMemo/layerMemo requirement: the
+    // response cache replays whole responses, not per-layer
+    // outcomes.)
     const SearchOptions &search = request.search;
     if (search.timeBudget.count() != 0 ||
         search.networkTimeBudget.count() != 0)
         return {};
     if (FaultInjector::global().enabled())
-        return {};
-    if (search.strategy == SearchStrategy::Random &&
-        search.threads != 1)
         return {};
     // The canonical key: the full wire encoding with the id cleared,
     // so every semantic field (config/shape AND search options)

@@ -12,12 +12,13 @@
  *
  * Determinism contract (same as the layer memo): a response is cached
  * and replayed only when the search it came from is reproducible —
- * no wall-clock budgets, no fault injection, and not the one
- * strategy/thread combination whose result depends on interleaving
- * (random sampling above one thread). Non-`ok` responses are never
- * cached. Replays re-stamp the requester's `id` and nothing else:
- * the fixpoint JSON codec guarantees the replayed line is
- * byte-identical to a fresh search's response.
+ * no wall-clock budgets and no fault injection. Non-`ok` responses
+ * are never cached. Replays re-stamp the requester's `id` and nothing
+ * else: the fixpoint JSON codec guarantees the replayed line is
+ * byte-identical to a fresh search's response, except that a search
+ * run on several threads (random or exhaustive) may split its
+ * bound-pruned and modeled counts differently from run to run; a
+ * replay carries the split of the run that filled the entry.
  *
  * SingleFlight handles the in-progress window: the first request for
  * a key becomes the *leader* and runs the search; identical requests
@@ -51,8 +52,7 @@ namespace serve
  * The cache key for @p request: the canonical wire encoding of the
  * full semantic request with the `id` cleared, or "" when the request
  * is ineligible for response caching (not a map/net search, carries a
- * wall-clock budget, fault injection is active, or the strategy is
- * nondeterministic at its thread count).
+ * wall-clock budget, or fault injection is active).
  */
 std::string responseCacheKey(const Request &request);
 

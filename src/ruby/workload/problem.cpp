@@ -97,7 +97,7 @@ Problem::isReductionDim(DimId d) const
 }
 
 std::uint64_t
-Problem::tileVolume(int t, const std::vector<std::uint64_t> &extents) const
+Problem::tileVolume(int t, std::span<const std::uint64_t> extents) const
 {
     RUBY_ASSERT(extents.size() == dim_sizes_.size());
     const auto &spec = tensor(t);

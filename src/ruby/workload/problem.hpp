@@ -16,6 +16,7 @@
 #define RUBY_WORKLOAD_PROBLEM_HPP
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -118,8 +119,7 @@ class Problem
      * sliding-window (halo) size for convolution inputs.
      */
     std::uint64_t tileVolume(int t,
-                             const std::vector<std::uint64_t> &extents)
-        const;
+                             std::span<const std::uint64_t> extents) const;
 
     /**
      * tileVolume over fractional (average) extents: used by the

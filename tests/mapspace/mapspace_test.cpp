@@ -162,24 +162,27 @@ TEST(Mapspace, DeterministicForSeed)
 }
 
 /**
- * FNV-1a over the rendered first @p draws samples of one seeded
- * stream: any change to the draws, their order, or the RNG calls
- * behind them moves the hash.
+ * FNV-1a over the rendered draws 0 .. @p draws - 1 of @p seed, each
+ * from its own keyed stream as the random search draws them: any
+ * change to the draws, their order, or the RNG calls behind them
+ * moves the hash.
  */
 std::uint64_t
 sampleStreamHash(const Mapspace &space, std::uint64_t seed, int draws)
 {
-    Rng rng(seed);
     std::uint64_t hash = hashing::kFnvOffset;
-    for (int i = 0; i < draws; ++i)
+    for (int i = 0; i < draws; ++i) {
+        Rng rng = Rng::keyed(seed, static_cast<std::uint64_t>(i));
         hash = hashing::fnv1aBytes(space.sample(rng).toString(), hash);
+    }
     return hash;
 }
 
 /**
- * Golden sampler streams: the first 2000 draws of every variant on
- * the Eyeriss and Simba presets, pinned to the values the nested-table
- * sampler produced. The sampler's RNG call sequence is part of every
+ * Golden sampler streams: the first 2000 keyed draws of every variant
+ * on the Eyeriss and Simba presets, pinned to the values of the
+ * keep-first sampler that shuffles only at spatial slots with
+ * fanout > 1. The sampler's RNG call sequence is part of every
  * search's answer, so a rewrite of the sampler must keep these.
  */
 TEST(MapspaceGolden, SampleStreamsArePinned)
@@ -194,11 +197,11 @@ TEST(MapspaceGolden, SampleStreamsArePinned)
     const Problem prob = makeConv(resnet50Layers()[1].shape);
     const Case cases[] = {
         {"eyeriss", makeEyeriss(), ConstraintPreset::EyerissRS,
-         {0xa45ad3b928015c00ull, 0x78f237033461bb88ull,
-          0xb46bea31943f44c8ull, 0x43fa5814569b7576ull}},
+         {0xc90b12cd439ccbcdull, 0x9ec2e2a4a62d84bdull,
+          0x645316381f650716ull, 0xda3edfbe652d9506ull}},
         {"simba", makeSimba(), ConstraintPreset::Simba,
-         {0xa454afdc496b0320ull, 0x791eb4fd00a60642ull,
-          0x39044c8e7091cf04ull, 0x32297ef199dfbe3full}},
+         {0x0ddea917ecc13ba5ull, 0xf9af8ff26241f840ull,
+          0x566800d249fedd6dull, 0x6ad405458f577142ull}},
     };
     const MapspaceVariant variants[] = {
         MapspaceVariant::PFM, MapspaceVariant::Ruby,
@@ -217,10 +220,11 @@ TEST(MapspaceGolden, SampleStreamsArePinned)
 }
 
 /**
- * sampleInto() is sample() split in two: on the same stream, its rows
- * materialize to the very mapping sample() returns, and the packed
- * masks match the mapping's. One Decisions and one memo are reused
- * across every draw and every variant, as the search loops do.
+ * sampleInto() is sample() split in two, with early rejection: on the
+ * same keyed stream, a draw it completes materializes to the very
+ * mapping sample() returns (same packed masks, same RNG calls), and a
+ * draw it rejects is one the evaluator finds invalid. One Decisions is
+ * reused across every draw and every variant, as the search loops do.
  */
 TEST(MapspaceGolden, SampleIntoMaterializesToSample)
 {
@@ -228,34 +232,63 @@ TEST(MapspaceGolden, SampleIntoMaterializesToSample)
     const ArchSpec arch = makeSimba();
     const MappingConstraints cons =
         makeConstraints(ConstraintPreset::Simba, prob, arch);
+    const Evaluator eval(prob, arch);
     Decisions decisions;
-    DivisorMemo memo;
     for (const MapspaceVariant variant :
          {MapspaceVariant::PFM, MapspaceVariant::Ruby,
           MapspaceVariant::RubyS, MapspaceVariant::RubyT}) {
         const Mapspace space(cons, variant);
-        Rng viaSample(31), viaRows(31);
-        for (int i = 0; i < 500; ++i) {
+        int completed = 0, rejected = 0;
+        for (std::uint64_t i = 0; i < 500; ++i) {
+            Rng viaSample = Rng::keyed(31, i), viaRows = Rng::keyed(31, i);
             const Mapping expected = space.sample(viaSample);
-            space.sampleInto(viaRows, decisions, memo);
+            if (!space.sampleInto(viaRows, decisions)) {
+                ++rejected;
+                EXPECT_FALSE(eval.evaluate(expected).valid)
+                    << variantName(variant) << " draw " << i;
+                continue;
+            }
+            ++completed;
             const Mapping got = space.materialize(decisions);
             ASSERT_EQ(got.toString(), expected.toString())
                 << variantName(variant) << " draw " << i;
             EXPECT_EQ(decisions.keepMask, expected.keepMask());
             EXPECT_EQ(decisions.axisYMask, expected.axisYMask());
+            EXPECT_TRUE(eval.evaluate(expected).valid);
+            // Both streams advanced by exactly the same RNG calls.
+            EXPECT_EQ(viaSample.next(), viaRows.next());
         }
-        // Both streams advanced by exactly the same RNG calls.
-        EXPECT_EQ(viaSample.next(), viaRows.next());
+        EXPECT_GT(completed, 0) << variantName(variant);
+        EXPECT_GT(rejected, 0) << variantName(variant);
     }
 }
 
-/** The memo answers like trial division, also after it starts over. */
-TEST(DivisorMemo, MatchesTrialDivisionPastItsCap)
+/**
+ * The per-mapspace divisor tables hold every remaining count a draw
+ * can reach (m = ceil(D / k)), for awkward sizes too: primes, squares,
+ * one, and the largest suite dimension. A miss asserts; a PFM chain
+ * must multiply out to D exactly.
+ */
+TEST(Mapspace, DivisorTablesCoverEveryReachableCount)
 {
-    DivisorMemo memo;
-    for (std::uint64_t n = 1; n <= DivisorMemo::kMaxEntries + 100; ++n)
-        ASSERT_EQ(memo.divisorsOf(n), divisors(n)) << n;
-    EXPECT_EQ(memo.divisorsOf(360), divisors(360));
+    for (const std::uint64_t d :
+         {1ull, 2ull, 3ull, 4ull, 97ull, 360ull, 1024ull, 9216ull,
+          65537ull}) {
+        const Problem prob = makeVector1D(d);
+        const ArchSpec arch = makeToyGlb(6);
+        const MappingConstraints cons(prob, arch);
+        for (const MapspaceVariant variant :
+             {MapspaceVariant::PFM, MapspaceVariant::Ruby}) {
+            const Mapspace space(cons, variant);
+            for (std::uint64_t i = 0; i < 200; ++i) {
+                Rng rng = Rng::keyed(d, i);
+                const Mapping m = space.sample(rng);
+                if (variant == MapspaceVariant::PFM) {
+                    EXPECT_TRUE(m.chain(0).fullyPerfect()) << d;
+                }
+            }
+        }
+    }
 }
 
 } // namespace

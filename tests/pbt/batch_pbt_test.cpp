@@ -113,7 +113,7 @@ TEST(BatchPbt, BatchStagesMatchScalarStages)
 /**
  * Property 2 — the batched random search is a replay of the scalar
  * one: same trajectory, same best, same stage counters, and every
- * evaluated candidate served from a batch.
+ * draw the sampler completes served from a batch.
  */
 std::optional<std::string>
 batchedSearchReplaysScalar(const WorkloadCase &c)
@@ -168,7 +168,9 @@ batchedSearchReplaysScalar(const WorkloadCase &c)
            << c.describe() << ")";
         return os.str();
     }
-    if (b.stats.batchedEvals != b.evaluated ||
+    // Every completed draw takes a lane and passes it: the sampler
+    // rejects doomed draws before they are batched.
+    if (b.stats.batchedEvals != b.valid || b.stats.batchRejects != 0 ||
         b.stats.decided() != b.evaluated) {
         os << "batched counters broken: batchedEvals="
            << b.stats.batchedEvals << " decided=" << b.stats.decided()

@@ -1,7 +1,7 @@
 /**
  * @file
- * Determinism and safety of the parallel search stack (ISSUE 3): the
- * serial and multi-threaded executions of every strategy must agree
+ * Determinism and safety of the parallel search stack: the serial
+ * and multi-threaded executions of every strategy must agree
  * bit-for-bit on the best mapping at fixed topology (islands/starts),
  * per-shard statistics must aggregate without double counting, the
  * network sweep must parallelize across layers without changing any
@@ -15,6 +15,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <limits>
 #include <vector>
 
@@ -25,6 +26,7 @@
 #include "ruby/search/exhaustive_search.hpp"
 #include "ruby/search/genetic_search.hpp"
 #include "ruby/search/local_search.hpp"
+#include "ruby/search/random_search.hpp"
 #include "ruby/workload/conv.hpp"
 #include "ruby/workload/problem.hpp"
 
@@ -104,6 +106,86 @@ TEST(ParallelSearch, ExhaustiveParityOnEyeriss)
 TEST(ParallelSearch, ExhaustiveParityOnSimba)
 {
     expectExhaustiveParity(makeSimba(), ConstraintPreset::Simba);
+}
+
+/**
+ * Random search reads draw i from its own keyed stream and commits
+ * draws in index order, so at 2, 4 and 8 threads it must return the
+ * one-thread answer: the same best mapping and metric bits, the same
+ * evaluated/valid/invalid counts and trajectory. Only the
+ * prunedBound/modeled split may shift (a worker prunes against a
+ * possibly stale committed best), and the evaluation cap is never
+ * overshot.
+ */
+void
+expectRandomThreadInvariance(const ArchSpec &arch,
+                             ConstraintPreset preset)
+{
+    const Problem prob = makeConv(smallConv());
+    const MappingConstraints cons =
+        makeConstraints(preset, prob, arch);
+    const Mapspace space(cons, MapspaceVariant::RubyS);
+    const Evaluator eval(prob, arch);
+
+    struct Config
+    {
+        const char *name;
+        std::uint64_t streak;
+        unsigned restarts;
+        bool trajectory;
+        bool batchEval;
+    };
+    const Config configs[] = {
+        {"no streak", 0, 1, false, true},
+        {"streak", 150, 1, false, true},
+        {"streak, restarts 2", 150, 2, false, true},
+        {"trajectory", 150, 1, true, true},
+        {"scalar scoring", 150, 1, false, false},
+    };
+    for (const Config &c : configs) {
+        SCOPED_TRACE(c.name);
+        SearchOptions opts;
+        opts.seed = 11;
+        opts.maxEvaluations = 2500;
+        opts.terminationStreak = c.streak;
+        opts.restarts = c.restarts;
+        opts.recordTrajectory = c.trajectory;
+        opts.batchEval = c.batchEval;
+        opts.threads = 1;
+        const SearchResult a = randomSearch(space, eval, opts);
+        EXPECT_LE(a.evaluated,
+                  opts.maxEvaluations * static_cast<std::uint64_t>(
+                                            c.restarts));
+        expectStatsPartition(a.stats, a.evaluated);
+        ASSERT_TRUE(a.best.has_value());
+        for (const unsigned threads : {2u, 4u, 8u}) {
+            SCOPED_TRACE(threads);
+            opts.threads = threads;
+            const SearchResult b = randomSearch(space, eval, opts);
+            ASSERT_TRUE(b.best.has_value());
+            EXPECT_EQ(a.best->toString(), b.best->toString());
+            EXPECT_EQ(std::bit_cast<std::uint64_t>(a.bestResult.edp),
+                      std::bit_cast<std::uint64_t>(b.bestResult.edp));
+            EXPECT_EQ(a.evaluated, b.evaluated);
+            EXPECT_EQ(a.valid, b.valid);
+            EXPECT_EQ(a.stats.invalid, b.stats.invalid);
+            EXPECT_EQ(a.trajectory, b.trajectory);
+            EXPECT_EQ(a.stats.prunedBound + a.stats.modeled,
+                      b.stats.prunedBound + b.stats.modeled);
+            expectStatsPartition(b.stats, b.evaluated);
+        }
+    }
+}
+
+TEST(ParallelSearch, RandomThreadInvarianceOnEyeriss)
+{
+    expectRandomThreadInvariance(makeEyeriss(),
+                                 ConstraintPreset::EyerissRS);
+}
+
+TEST(ParallelSearch, RandomThreadInvarianceOnSimba)
+{
+    expectRandomThreadInvariance(makeSimba(), ConstraintPreset::Simba);
 }
 
 TEST(ParallelSearch, GeneticIslandParityAcrossThreadCounts)
@@ -283,6 +365,44 @@ TEST(ParallelSearch, LayerMemoReplicatesDuplicateShapes)
     for (const LayerOutcome &layer : memo.layers)
         searched_evals += layer.evaluated;
     expectStatsPartition(memo.stats, searched_evals);
+}
+
+/**
+ * A cross-sweep LayerMemo accepts a random layer searched on two
+ * threads, replays it on the next sweep, and what it replays is the
+ * one-thread answer.
+ */
+TEST(ParallelSearch, SharedLayerMemoReplaysTwoThreadRandomLayer)
+{
+    const ArchSpec arch = makeEyeriss();
+    const std::vector<Layer> layers = {distinctNetwork()[0]};
+    LayerMemo memo;
+    SearchOptions opts;
+    opts.maxEvaluations = 1500;
+    opts.terminationStreak = 0;
+    opts.threads = 2;
+    opts.sharedLayerMemo = &memo;
+
+    const NetworkOutcome first =
+        searchNetwork(layers, arch, ConstraintPreset::EyerissRS,
+                      MapspaceVariant::RubyS, opts);
+    EXPECT_EQ(memo.stats().inserts, 1u);
+    const NetworkOutcome replay =
+        searchNetwork(layers, arch, ConstraintPreset::EyerissRS,
+                      MapspaceVariant::RubyS, opts);
+    EXPECT_EQ(memo.stats().hits, 1u);
+    ASSERT_EQ(replay.layers.size(), 1u);
+    EXPECT_TRUE(replay.layers[0].memoized);
+    EXPECT_EQ(replay.layers[0].bestMapping, first.layers[0].bestMapping);
+    EXPECT_EQ(replay.layers[0].result.edp, first.layers[0].result.edp);
+
+    opts.threads = 1;
+    opts.sharedLayerMemo = nullptr;
+    const NetworkOutcome serial =
+        searchNetwork(layers, arch, ConstraintPreset::EyerissRS,
+                      MapspaceVariant::RubyS, opts);
+    EXPECT_EQ(serial.layers[0].bestMapping, first.layers[0].bestMapping);
+    EXPECT_EQ(serial.layers[0].result.edp, first.layers[0].result.edp);
 }
 
 TEST(ParallelSearch, SharedIncumbentStressKeepsMinimum)

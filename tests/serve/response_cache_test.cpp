@@ -81,14 +81,15 @@ TEST(ResponseCacheKey, WallClockBudgetsAreIneligible)
     EXPECT_TRUE(responseCacheKey(req).empty());
 }
 
-TEST(ResponseCacheKey, RandomAboveOneThreadIsIneligible)
+TEST(ResponseCacheKey, RandomAboveOneThreadIsEligible)
 {
+    // Random search no longer depends on the thread count, so it is
+    // cached at any width, like the other strategies.
     Request req = quickMapRequest("a");
     req.search.strategy = SearchStrategy::Random;
     req.search.threads = 4;
-    EXPECT_TRUE(responseCacheKey(req).empty());
+    EXPECT_FALSE(responseCacheKey(req).empty());
 
-    // Deterministic strategies stay eligible at any thread count.
     req.search.strategy = SearchStrategy::Exhaustive;
     EXPECT_FALSE(responseCacheKey(req).empty());
 }

@@ -467,6 +467,45 @@ TEST(ServeServer, ResponseCacheServesRepeatsWithoutSearching)
     server.waitForShutdown();
 }
 
+/** A random map request on two threads is as reproducible as one on
+ *  one thread, so its repeat is a response-cache hit too, and the
+ *  mapping it replays is the one-thread answer. */
+TEST(ServeServer, ResponseCacheServesTwoThreadRandomRepeats)
+{
+    Server server(tcpOptions());
+    server.start();
+    Client client = Client::connectTcp("127.0.0.1", server.port());
+
+    SearchOptions search = quickOptions(SearchStrategy::Random);
+    search.threads = 2;
+    const std::string rawFirst = client.callRaw(writeJson(
+        encodeRequest(mapRequest("first", kQuickConfig, search))));
+    const JsonValue first = parseJson(rawFirst);
+    ASSERT_EQ(first.at("code").asU64(), 0u) << rawFirst;
+    const std::string rawSecond = client.callRaw(writeJson(
+        encodeRequest(mapRequest("second", kQuickConfig, search))));
+    EXPECT_EQ(rawSecond,
+              writeJson(restampResponseId(first, "second")));
+    const JsonValue stats = server.statsJson();
+    EXPECT_EQ(stats.at("responseCache").at("hits").asU64(), 1u);
+    EXPECT_EQ(
+        stats.at("strategies").at("random").at("requests").asU64(),
+        1u);
+
+    search.threads = 1;
+    const JsonValue serial = client.call(
+        encodeRequest(mapRequest("serial", kQuickConfig, search)));
+    ASSERT_EQ(serial.at("code").asU64(), 0u);
+    const LayerOutcome one = layerOutcomeFromJson(serial.at("outcome"));
+    const LayerOutcome two = layerOutcomeFromJson(first.at("outcome"));
+    EXPECT_EQ(one.bestMapping, two.bestMapping);
+    EXPECT_EQ(one.result.edp, two.result.edp);
+    EXPECT_EQ(one.evaluated, two.evaluated);
+
+    server.requestShutdown();
+    server.waitForShutdown();
+}
+
 /** With --no-response-cache the stats block stays, zeroed/disabled,
  *  and repeats run real searches again. */
 TEST(ServeServer, ResponseCacheCanBeDisabled)
