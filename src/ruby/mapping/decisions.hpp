@@ -1,7 +1,8 @@
 /**
  * @file
- * One mapping's decisions as flat rows: the form the sampler writes
- * and the batch evaluator ingests, with no nested tables and no
+ * One mapping's decisions as flat rows: the form the sampler writes,
+ * the search operators edit (Mapspace::mutate, crossover) and the
+ * batch and delta evaluators ingest, with no nested tables and no
  * derived data (tails, body counts, extents). A Mapping is built from
  * it only for the candidates that need one (Mapspace::materialize).
  *

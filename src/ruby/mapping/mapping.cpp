@@ -220,23 +220,24 @@ Mapping::spatialAxis(int level, DimId d) const
 }
 
 void
-Mapping::setChain(DimId d, const std::vector<std::uint64_t> &steady)
+Mapping::setChain(DimId d, std::span<const std::uint64_t> steady)
 {
     RUBY_ASSERT(d >= 0 && d < problem_->numDims());
     chains_[static_cast<std::size_t>(d)].assign(steady);
 }
 
 void
-Mapping::setPermutation(int level, const std::vector<DimId> &perm)
+Mapping::setPermutation(int level, std::span<const DimId> perm)
 {
     RUBY_ASSERT(level >= 0 && level < arch_->numLevels());
     RUBY_ASSERT(static_cast<int>(perm.size()) == problem_->numDims(),
                 "permutation must cover every dimension once");
-    perms_[static_cast<std::size_t>(level)] = perm;
+    perms_[static_cast<std::size_t>(level)].assign(perm.begin(),
+                                                   perm.end());
 }
 
 void
-Mapping::setKeepRow(int level, const std::vector<char> &keep)
+Mapping::setKeepRow(int level, std::span<const char> keep)
 {
     RUBY_ASSERT(level >= 0 && level < arch_->numLevels());
     RUBY_ASSERT(static_cast<int>(keep.size()) ==
@@ -247,7 +248,8 @@ Mapping::setKeepRow(int level, const std::vector<char> &keep)
         for (char k : keep)
             RUBY_ASSERT(k, "boundary levels must keep every tensor");
 #endif
-    keep_[static_cast<std::size_t>(level)] = keep;
+    keep_[static_cast<std::size_t>(level)].assign(keep.begin(),
+                                                  keep.end());
     const int nt = problem_->numTensors();
     if (arch_->numLevels() * nt <= 64) {
         const int base = level * nt;
@@ -263,7 +265,7 @@ Mapping::setKeepRow(int level, const std::vector<char> &keep)
 }
 
 void
-Mapping::setAxisRow(int level, const std::vector<SpatialAxis> &axes)
+Mapping::setAxisRow(int level, std::span<const SpatialAxis> axes)
 {
     RUBY_ASSERT(level >= 0 && level < arch_->numLevels());
     RUBY_ASSERT(static_cast<int>(axes.size()) == problem_->numDims(),
@@ -273,7 +275,8 @@ Mapping::setAxisRow(int level, const std::vector<SpatialAxis> &axes)
                      std::vector<SpatialAxis>(
                          static_cast<std::size_t>(problem_->numDims()),
                          SpatialAxis::X));
-    axes_[static_cast<std::size_t>(level)] = axes;
+    axes_[static_cast<std::size_t>(level)].assign(axes.begin(),
+                                                  axes.end());
     const int nd = problem_->numDims();
     if (arch_->numLevels() * nd <= 64) {
         const int base = level * nd;
@@ -287,6 +290,32 @@ Mapping::setAxisRow(int level, const std::vector<SpatialAxis> &axes)
                     << d;
         axisYMask_ = (axisYMask_ & ~(ones << base)) | (bits << base);
     }
+}
+
+Decisions
+Mapping::decisions() const
+{
+    const std::size_t nd = static_cast<std::size_t>(problem_->numDims());
+    const std::size_t nl = static_cast<std::size_t>(arch_->numLevels());
+    Decisions out;
+    out.steady.reserve(nd * 2 * nl);
+    for (const FactorChain &chain : chains_)
+        for (const FactorPair &f : chain.factors())
+            out.steady.push_back(f.steady);
+    for (std::size_t l = 0; l < nl; ++l) {
+        out.perms.insert(out.perms.end(), perms_[l].begin(),
+                         perms_[l].end());
+        for (const char k : keep_[l])
+            out.keep.push_back(k != 0 ? 1 : 0);
+    }
+    if (axes_.empty())
+        out.axes.assign(nl * nd, SpatialAxis::X);
+    else
+        for (const auto &row : axes_)
+            out.axes.insert(out.axes.end(), row.begin(), row.end());
+    out.keepMask = keepMask_;
+    out.axisYMask = axisYMask_;
+    return out;
 }
 
 bool

@@ -10,6 +10,7 @@
 #define RUBY_MAPPING_MAPPING_HPP
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -156,23 +157,31 @@ class Mapping
      * Replace dimension @p d's steady bounds in place (same slot
      * count; prod must cover the dimension). Allocation-free.
      */
-    void setChain(DimId d, const std::vector<std::uint64_t> &steady);
+    void setChain(DimId d, std::span<const std::uint64_t> steady);
 
     /** Replace level @p level's temporal loop order in place. */
-    void setPermutation(int level, const std::vector<DimId> &perm);
+    void setPermutation(int level, std::span<const DimId> perm);
 
     /**
      * Replace level @p level's keep flags in place. The innermost and
      * outermost levels must still keep every tensor.
      */
-    void setKeepRow(int level, const std::vector<char> &keep);
+    void setKeepRow(int level, std::span<const char> keep);
 
     /**
      * Replace level @p level's spatial-axis row in place. If the
      * mapping was built with empty axes (all X), the full axis table
      * is materialized first (one-time allocation).
      */
-    void setAxisRow(int level, const std::vector<SpatialAxis> &axes);
+    void setAxisRow(int level, std::span<const SpatialAxis> axes);
+
+    /**
+     * The flat decision rows of this mapping, the inverse of the
+     * Decisions constructor: keep flags are 0 or 1, the axis rows are
+     * always complete (X where the mapping was built without axes),
+     * and the packed masks are keepMask() and axisYMask().
+     */
+    Decisions decisions() const;
 
     /** True iff every chain is perfect (a PFM mapping). */
     bool fullyPerfect() const;

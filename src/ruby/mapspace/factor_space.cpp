@@ -66,4 +66,42 @@ enumerateChains(std::uint64_t dim, const std::vector<SlotRule> &rules,
     return out;
 }
 
+Decisions
+leafRows(const Mapspace &space)
+{
+    const int nd = space.problem().numDims();
+    const int nl = space.arch().numLevels();
+    const int nt = space.problem().numTensors();
+    Decisions rows;
+    rows.steady.resize(static_cast<std::size_t>(nd * 2 * nl));
+    rows.perms.resize(static_cast<std::size_t>(nl * nd));
+    rows.keep.resize(static_cast<std::size_t>(nl * nt));
+    for (int l = 0; l < nl; ++l)
+        for (int t = 0; t < nt; ++t) {
+            const bool bypass = l > 0 && l < nl - 1 &&
+                                space.constraints().bypassForced(l, t);
+            rows.keep[static_cast<std::size_t>(l * nt + t)] =
+                bypass ? 0 : 1;
+            if (!bypass && nl * nt <= 64)
+                rows.keepMask |= std::uint64_t{1} << (l * nt + t);
+        }
+    return rows;
+}
+
+void
+writeLeaf(
+    const std::vector<std::vector<std::vector<std::uint64_t>>> &chains,
+    const std::vector<std::vector<DimId>> &perms,
+    const std::vector<std::size_t> &pick,
+    const std::vector<std::size_t> &permPick, Decisions &rows)
+{
+    auto steady = rows.steady.begin();
+    for (std::size_t d = 0; d < chains.size(); ++d)
+        steady = std::copy(chains[d][pick[d]].begin(),
+                           chains[d][pick[d]].end(), steady);
+    auto order = rows.perms.begin();
+    for (const std::size_t p : permPick)
+        order = std::copy(perms[p].begin(), perms[p].end(), order);
+}
+
 } // namespace ruby

@@ -2,7 +2,8 @@
  * @file
  * Exhaustive enumeration of canonical factor chains for a single
  * dimension: the per-dimension building block of exhaustive search
- * and the mapspace-size study (Table I).
+ * and the mapspace-size study (Table I), plus the decision rows the
+ * enumerating searches decode each leaf into.
  *
  * A chain is canonical when every slot bound P_k is at most the
  * remaining tile count m_k (larger bounds duplicate an execution that
@@ -43,6 +44,25 @@ std::vector<SlotRule> chainRules(const Mapspace &space, DimId d);
 std::vector<std::vector<std::uint64_t>>
 enumerateChains(std::uint64_t dim, const std::vector<SlotRule> &rules,
                 std::size_t limit = 0);
+
+/**
+ * The rows every enumerated leaf of exhaustive and optimal search
+ * shares: keep-all residency honouring @p space's forced bypasses
+ * (keepMask packed), no mesh axes (all X), and steady and loop-order
+ * rows sized for writeLeaf().
+ */
+Decisions leafRows(const Mapspace &space);
+
+/**
+ * Write one enumerated leaf into @p rows (made by leafRows()):
+ * dimension d takes chain chains[d][pick[d]] and level l the loop
+ * order perms[permPick[l]].
+ */
+void writeLeaf(
+    const std::vector<std::vector<std::vector<std::uint64_t>>> &chains,
+    const std::vector<std::vector<DimId>> &perms,
+    const std::vector<std::size_t> &pick,
+    const std::vector<std::size_t> &permPick, Decisions &rows);
 
 } // namespace ruby
 

@@ -10,6 +10,35 @@
 namespace ruby
 {
 
+namespace
+{
+
+/** A uniform pick among the divisors in @p divs (ascending) that do
+ *  not exceed @p cap; cap 0 means no limit. */
+std::uint64_t
+pickDivisor(const std::vector<std::uint64_t> &divs, std::uint64_t cap,
+            Rng &rng)
+{
+    const auto usable = static_cast<std::size_t>(
+        cap == 0 ? divs.size()
+                 : std::upper_bound(divs.begin(), divs.end(), cap) -
+                       divs.begin());
+    return divs[rng.below(usable)];
+}
+
+/** @p dst with bits [base, base + width) taken from @p src. */
+std::uint64_t
+spliceBits(std::uint64_t dst, std::uint64_t src, std::size_t base,
+           std::size_t width)
+{
+    const std::uint64_t ones =
+        width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
+    const std::uint64_t field = ones << base;
+    return (dst & ~field) | (src & field);
+}
+
+} // namespace
+
 std::string
 variantName(MapspaceVariant variant)
 {
@@ -128,6 +157,12 @@ Mapspace::sampleInto(Rng &rng, Decisions &out) const
     return draw(rng, out, true);
 }
 
+void
+Mapspace::sample(Rng &rng, Decisions &out) const
+{
+    draw(rng, out, false);
+}
+
 Mapping
 Mapspace::materialize(const Decisions &decisions) const
 {
@@ -243,14 +278,9 @@ Mapspace::draw(Rng &rng, Decisions &out, bool reject) const
                 const std::uint64_t hi = std::min<std::uint64_t>(
                     cap == 0 ? m : cap, m);
                 switch (rng.below(3)) {
-                  case 0: {
-                    const auto &divs = divisors.of(d, m);
-                    const auto usable = static_cast<std::size_t>(
-                        std::upper_bound(divs.begin(), divs.end(), hi) -
-                        divs.begin());
-                    choice = divs[rng.below(usable)];
+                  case 0:
+                    choice = pickDivisor(divisors.of(d, m), hi, rng);
                     break;
-                  }
                   case 1:
                     choice = hi;
                     break;
@@ -259,13 +289,7 @@ Mapspace::draw(Rng &rng, Decisions &out, bool reject) const
                 }
             } else {
                 // Perfect slot: uniform over divisors of m within cap.
-                const auto &divs = divisors.of(d, m);
-                const auto usable = static_cast<std::size_t>(
-                    cap == 0 ? divs.size()
-                             : std::upper_bound(divs.begin(), divs.end(),
-                                                cap) -
-                                   divs.begin());
-                choice = divs[rng.below(usable)];
+                choice = pickDivisor(divisors.of(d, m), cap, rng);
             }
             out.steady[static_cast<std::size_t>(d) *
                            static_cast<std::size_t>(slots) +
@@ -302,6 +326,194 @@ Mapspace::draw(Rng &rng, Decisions &out, bool reject) const
             std::swap(perm[i], perm[rng.below(i + 1)]);
     }
     return true;
+}
+
+void
+Mapspace::mutateChain(Decisions &decisions, DimId d, Rng &rng) const
+{
+    const int slots = 2 * arch().numLevels();
+    RUBY_ASSERT(decisions.steady.size() ==
+                static_cast<std::size_t>(problem().numDims() * slots));
+    std::uint64_t *chain = decisions.steady.data() +
+                           static_cast<std::size_t>(d) *
+                               static_cast<std::size_t>(slots);
+    const DivisorTables &divisors = divisorTables();
+
+    std::uint64_t m = problem().dimSize(d);
+    for (int k = 0; k < slots; ++k) {
+        const std::uint64_t cap = slotCap(d, k);
+        std::uint64_t choice = 1;
+        if (k == slots - 1) {
+            choice = m;
+        } else if (cap == 1 || m == 1) {
+            choice = 1;
+        } else if (slotImperfect(k)) {
+            const std::uint64_t hi =
+                std::min<std::uint64_t>(cap == 0 ? m : cap, m);
+            choice = rng.between(1, hi);
+        } else {
+            choice = pickDivisor(divisors.of(d, m), cap, rng);
+        }
+        chain[k] = choice;
+        m = ceilDiv(m, choice);
+    }
+}
+
+void
+Mapspace::mutate(Decisions &decisions, Rng &rng,
+                 MutationUndo *undo) const
+{
+    const std::size_t nd = static_cast<std::size_t>(problem().numDims());
+    const std::size_t nl = static_cast<std::size_t>(arch().numLevels());
+    const std::size_t nt =
+        static_cast<std::size_t>(problem().numTensors());
+
+    // A draw that ends up changing nothing (rejected flip, too-short
+    // permutation) records Kind::None so undoMutation() is a no-op.
+    // Flips are applied through undoMutation() (each is its own
+    // inverse), so they are recorded even when no undo was asked for.
+    MutationUndo local;
+    MutationUndo &record = undo != nullptr ? *undo : local;
+    const auto note = [&](MutationUndo::Kind kind, std::size_t row,
+                          std::size_t i, std::size_t j) {
+        record.kind = kind;
+        record.row = row;
+        record.i = i;
+        record.j = j;
+    };
+    note(MutationUndo::Kind::None, 0, 0, 0);
+
+    switch (rng.below(4)) {
+      case 0: { // resample one dimension's chain
+        const std::size_t d = rng.below(nd);
+        if (undo != nullptr) {
+            const std::uint64_t *row =
+                decisions.steady.data() + d * 2 * nl;
+            note(MutationUndo::Kind::Chain, d, 0, 0);
+            record.chain.assign(row, row + 2 * nl);
+        }
+        mutateChain(decisions, static_cast<DimId>(d), rng);
+        break;
+      }
+      case 1: { // swap two loops in one level's order
+        const std::size_t l = rng.below(nl);
+        if (nd >= 2) {
+            DimId *perm = decisions.perms.data() + l * nd;
+            const std::size_t i = rng.below(nd);
+            const std::size_t j = rng.below(nd);
+            std::swap(perm[i], perm[j]);
+            note(MutationUndo::Kind::PermSwap, l, i, j);
+        }
+        break;
+      }
+      case 2: { // flip a residency bit on an intermediate level
+        if (nl <= 2)
+            break;
+        const std::size_t l = 1 + rng.below(nl - 2);
+        const std::size_t t = rng.below(nt);
+        if (constraints_->bypassForced(static_cast<int>(l),
+                                       static_cast<int>(t)))
+            break;
+        note(MutationUndo::Kind::Keep, l, t, 0);
+        undoMutation(decisions, record);
+        break;
+      }
+      default: { // flip a spatial mesh-axis assignment
+        const std::size_t l = rng.below(nl);
+        const std::size_t d = rng.below(nd);
+        const std::uint8_t to =
+            decisions.axes[l * nd + d] == SpatialAxis::X ? 2 : 1;
+        if ((axisMask_[l * nd + d] & to) == 0)
+            break;
+        note(MutationUndo::Kind::Axis, l, d, 0);
+        undoMutation(decisions, record);
+        break;
+      }
+    }
+}
+
+void
+Mapspace::undoMutation(Decisions &decisions,
+                       const MutationUndo &undo) const
+{
+    const std::size_t nd = static_cast<std::size_t>(problem().numDims());
+    const std::size_t nl = static_cast<std::size_t>(arch().numLevels());
+    const std::size_t nt =
+        static_cast<std::size_t>(problem().numTensors());
+
+    // A flipped keep or axis entry flips its packed-mask bit too,
+    // wherever the mask exists.
+    switch (undo.kind) {
+      case MutationUndo::Kind::None:
+        break;
+      case MutationUndo::Kind::Chain:
+        std::copy(undo.chain.begin(), undo.chain.end(),
+                  decisions.steady.begin() +
+                      static_cast<std::ptrdiff_t>(undo.row * 2 * nl));
+        break;
+      case MutationUndo::Kind::PermSwap:
+        std::swap(decisions.perms[undo.row * nd + undo.i],
+                  decisions.perms[undo.row * nd + undo.j]);
+        break;
+      case MutationUndo::Kind::Keep: {
+        const std::size_t at = undo.row * nt + undo.i;
+        decisions.keep[at] = decisions.keep[at] != 0 ? 0 : 1;
+        if (nl * nt <= 64)
+            decisions.keepMask ^= std::uint64_t{1} << at;
+        break;
+      }
+      case MutationUndo::Kind::Axis: {
+        const std::size_t at = undo.row * nd + undo.i;
+        decisions.axes[at] = decisions.axes[at] == SpatialAxis::X
+                                 ? SpatialAxis::Y
+                                 : SpatialAxis::X;
+        if (nl * nd <= 64)
+            decisions.axisYMask ^= std::uint64_t{1} << at;
+        break;
+      }
+    }
+}
+
+Decisions
+Mapspace::crossover(const Decisions &a, const Decisions &b,
+                    Rng &rng) const
+{
+    const std::size_t nd = static_cast<std::size_t>(problem().numDims());
+    const std::size_t nl = static_cast<std::size_t>(arch().numLevels());
+    const std::size_t nt =
+        static_cast<std::size_t>(problem().numTensors());
+    const std::size_t slots = 2 * nl;
+    RUBY_ASSERT(a.steady.size() == b.steady.size() &&
+                a.perms.size() == b.perms.size() &&
+                a.axes.size() == b.axes.size());
+
+    // Row r of width w starts at r * w in both parents and the child.
+    const auto take = [](auto &to, const auto &from, std::size_t r,
+                         std::size_t w) {
+        std::copy_n(from.begin() + static_cast<std::ptrdiff_t>(r * w), w,
+                    to.begin() + static_cast<std::ptrdiff_t>(r * w));
+    };
+    Decisions child = a;
+    for (std::size_t d = 0; d < nd; ++d)
+        if (rng.below(2))
+            take(child.steady, b.steady, d, slots);
+    for (std::size_t l = 0; l < nl; ++l) {
+        if (rng.below(2))
+            take(child.perms, b.perms, l, nd);
+        if (rng.below(2)) {
+            take(child.keep, b.keep, l, nt);
+            if (nl * nt <= 64)
+                child.keepMask =
+                    spliceBits(child.keepMask, b.keepMask, l * nt, nt);
+        }
+        if (rng.below(2)) {
+            take(child.axes, b.axes, l, nd);
+            if (nl * nd <= 64)
+                child.axisYMask = spliceBits(child.axisYMask,
+                                             b.axisYMask, l * nd, nd);
+        }
+    }
+    return child;
 }
 
 } // namespace ruby

@@ -42,6 +42,14 @@
  * materialize only the few candidates that survive the batch stages;
  * sample() is the two steps back to back (never rejecting), so there
  * is one sampler.
+ *
+ * The iterative searches (genetic, local, random search's refinement)
+ * edit the same rows with the operators below: mutate() resamples a
+ * chain under the sampler's variant rules, slot caps and divisor
+ * tables, swaps two loops, or flips a residency bit or a mesh axis
+ * where the constraints allow; crossover() mixes two parents row by
+ * row. Both keep the packed keepMask/axisYMask current, so an edited
+ * draw goes to BatchEvaluator::add() and DeltaEvaluator as it stands.
  */
 
 #ifndef RUBY_MAPSPACE_MAPSPACE_HPP
@@ -60,6 +68,22 @@
 
 namespace ruby
 {
+
+/**
+ * Inverse record of one Mapspace::mutate(): which row moved and what
+ * it held before. Reusing one instance across calls keeps a
+ * neighbourhood walk allocation-free (the chain buffer keeps its
+ * capacity).
+ */
+struct MutationUndo
+{
+    enum class Kind { None, Chain, PermSwap, Keep, Axis };
+    Kind kind = Kind::None;
+    std::size_t row = 0; ///< dimension (Chain) or level (others)
+    std::size_t i = 0;   ///< swapped position / flipped column
+    std::size_t j = 0;   ///< second swapped position (PermSwap)
+    std::vector<std::uint64_t> chain; ///< previous chain row (Chain)
+};
 
 /** The four mapspaces of the paper (Sec. III-A). */
 enum class MapspaceVariant
@@ -121,8 +145,44 @@ class Mapspace
      */
     bool sampleInto(Rng &rng, Decisions &out) const;
 
-    /** The Mapping of a draw made by sampleInto(). */
+    /** Draw a random mapping's decision rows into @p out, always to
+     *  completion: the draw behind sample(), without the Mapping. */
+    void sample(Rng &rng, Decisions &out) const;
+
+    /** The Mapping of a draw made by sampleInto() or sample(). */
     Mapping materialize(const Decisions &decisions) const;
+
+    /**
+     * Resample dimension @p d's chain in @p decisions under the
+     * variant rules (divisors of the remaining count at perfect
+     * slots, any bound up to the slot cap at imperfect ones; the
+     * outermost slot absorbs the residual). Other rows untouched.
+     */
+    void mutateChain(Decisions &decisions, DimId d, Rng &rng) const;
+
+    /**
+     * Apply one random mutation to a complete draw: resample a chain,
+     * swap two loops in a level's order, flip a residency bit on an
+     * intermediate level, or flip a mesh axis. Forced bypasses and
+     * the allowed axes are honoured; fanout and capacity are left to
+     * the evaluator. When @p undo is non-null it records how to
+     * revert the mutation, so a neighbourhood search can mutate one
+     * draw in place instead of copying it per candidate.
+     */
+    void mutate(Decisions &decisions, Rng &rng,
+                MutationUndo *undo = nullptr) const;
+
+    /** Revert the mutation @p undo describes (exact inverse). */
+    void undoMutation(Decisions &decisions,
+                      const MutationUndo &undo) const;
+
+    /**
+     * Uniform crossover: the child takes each dimension's chain and
+     * each level's loop order, residency row and axis row from one of
+     * the parents.
+     */
+    Decisions crossover(const Decisions &a, const Decisions &b,
+                        Rng &rng) const;
 
     /**
      * Per-slot factor cap for dimension d at slot k: the level

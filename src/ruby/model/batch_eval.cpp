@@ -1,7 +1,5 @@
 #include "ruby/model/batch_eval.hpp"
 
-#include <numeric>
-
 #include "ruby/common/error.hpp"
 
 /**
@@ -377,54 +375,6 @@ BatchEvaluator::add(const Decisions &decisions)
 }
 
 void
-BatchEvaluator::add(
-    const std::vector<std::vector<std::uint64_t>> &steady,
-    const std::vector<std::vector<char>> &keep,
-    const std::vector<std::vector<SpatialAxis>> &axes)
-{
-    RUBY_ASSERT(k_ < cap_, "batch is full; call begin() with a "
-                           "larger expected size");
-    RUBY_ASSERT(static_cast<int>(steady.size()) == nd_,
-                "batched candidate needs one chain per dimension");
-    RUBY_ASSERT(static_cast<int>(keep.size()) == nl_,
-                "batched candidate needs keep flags per level");
-    const std::size_t i = k_++;
-    for (DimId d = 0; d < nd_; ++d) {
-        const auto &chain = steady[static_cast<std::size_t>(d)];
-        RUBY_ASSERT(static_cast<int>(chain.size()) == ns_,
-                    "batched chain must cover every slot");
-        const std::size_t base = static_cast<std::size_t>(d) *
-                                 static_cast<std::size_t>(ns_);
-        for (int s = 0; s < ns_; ++s)
-            steady_[row(base + static_cast<std::size_t>(s)) + i] =
-                chain[static_cast<std::size_t>(s)];
-    }
-    std::uint64_t km = 0;
-    std::uint64_t am = 0;
-    for (int l = 0; l < nl_; ++l) {
-        const auto &krow = keep[static_cast<std::size_t>(l)];
-        RUBY_ASSERT(static_cast<int>(krow.size()) == nt_,
-                    "batched keep row must cover every tensor");
-        const int kbase = l * nt_;
-        for (int t = 0; t < nt_; ++t)
-            km |= static_cast<std::uint64_t>(
-                      krow[static_cast<std::size_t>(t)] != 0)
-                  << (kbase + t);
-        if (axes.empty())
-            continue;
-        const auto &arow = axes[static_cast<std::size_t>(l)];
-        const int abase = l * nd_;
-        for (DimId d = 0; d < nd_; ++d)
-            am |= static_cast<std::uint64_t>(
-                      arow[static_cast<std::size_t>(d)] ==
-                      SpatialAxis::Y)
-                  << (abase + d);
-    }
-    keepMask_[i] = km;
-    axisYMask_[i] = am;
-}
-
-void
 BatchEvaluator::run(Objective obj, EvalStats &stats, bool withBound)
 {
     if (k_ == 0)
@@ -537,45 +487,32 @@ BatchEvaluator::prepareScratch(std::size_t i,
 void
 BatchEvaluator::crossCheck(Objective obj, bool withBound) const
 {
-    std::vector<std::vector<std::uint64_t>> steady(
-        static_cast<std::size_t>(nd_),
-        std::vector<std::uint64_t>(static_cast<std::size_t>(ns_)));
-    std::vector<std::vector<DimId>> perms(
-        static_cast<std::size_t>(nl_),
-        std::vector<DimId>(static_cast<std::size_t>(nd_)));
-    for (auto &perm : perms)
-        std::iota(perm.begin(), perm.end(), 0);
-    std::vector<std::vector<char>> keep(
-        static_cast<std::size_t>(nl_),
-        std::vector<char>(static_cast<std::size_t>(nt_)));
-    std::vector<std::vector<SpatialAxis>> axes(
-        static_cast<std::size_t>(nl_),
-        std::vector<SpatialAxis>(static_cast<std::size_t>(nd_)));
+    // Every lane as decision rows: its steady bounds, the keep and
+    // axis rows unpacked from its masks, and identity loop orders (a
+    // lane carries none).
+    const std::size_t rows = static_cast<std::size_t>(nd_) *
+                             static_cast<std::size_t>(ns_);
+    Decisions lane;
+    lane.steady.resize(rows);
+    lane.perms.resize(static_cast<std::size_t>(nl_) *
+                      static_cast<std::size_t>(nd_));
+    for (std::size_t at = 0; at < lane.perms.size(); ++at)
+        lane.perms[at] = static_cast<DimId>(
+            at % static_cast<std::size_t>(nd_));
+    lane.keep.resize(static_cast<std::size_t>(nl_ * nt_));
+    lane.axes.resize(lane.perms.size());
     EvalScratch scratch;
     for (std::size_t i = 0; i < k_; ++i) {
-        for (DimId d = 0; d < nd_; ++d)
-            for (int s = 0; s < ns_; ++s)
-                steady[static_cast<std::size_t>(d)]
-                      [static_cast<std::size_t>(s)] =
-                          steady_[row(static_cast<std::size_t>(d) *
-                                          static_cast<std::size_t>(
-                                              ns_) +
-                                      static_cast<std::size_t>(s)) +
-                                  i];
-        for (int l = 0; l < nl_; ++l) {
-            for (int t = 0; t < nt_; ++t)
-                keep[static_cast<std::size_t>(l)]
-                    [static_cast<std::size_t>(t)] = static_cast<char>(
-                        (keepMask_[i] >> (l * nt_ + t)) & 1);
-            for (DimId d = 0; d < nd_; ++d)
-                axes[static_cast<std::size_t>(l)]
-                    [static_cast<std::size_t>(d)] =
-                        ((axisYMask_[i] >> (l * nd_ + d)) & 1) != 0
-                            ? SpatialAxis::Y
-                            : SpatialAxis::X;
-        }
-        const Mapping mapping(*prob_, *arch_, steady, perms, keep,
-                              axes);
+        for (std::size_t r = 0; r < rows; ++r)
+            lane.steady[r] = steady_[row(r) + i];
+        for (std::size_t at = 0; at < lane.keep.size(); ++at)
+            lane.keep[at] =
+                static_cast<char>((keepMask_[i] >> at) & 1);
+        for (std::size_t at = 0; at < lane.axes.size(); ++at)
+            lane.axes[at] = ((axisYMask_[i] >> at) & 1) != 0
+                                ? SpatialAxis::Y
+                                : SpatialAxis::X;
+        const Mapping mapping(*prob_, *arch_, lane);
         const bool scalar_valid =
             eval_->checkValidity(mapping, scratch, false);
         RUBY_ASSERT(scalar_valid == valid(i),

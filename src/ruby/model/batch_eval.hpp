@@ -6,15 +6,18 @@
  * at a time: every validity check chases FactorChain vectors level by
  * level, and most random samples die in those first stages. The batch
  * evaluator restructures exactly those stages into structure-of-arrays
- * form: candidates are ingested as contiguous per-(row) lanes — steady
- * bounds, boundary extents, tile footprints, spatial usage — laid out
- * so the validity stages' inner loops always run over the batch
- * dimension. The stage loops are branch-light (selects, no early
- * exits) and cache-dense, which lets the compiler vectorize them; the
- * staged reject (spatial fit -> tiles/capacity -> objective bound)
- * runs batch-wide so rejected candidates never reach the expensive
- * per-candidate access-count model, and the bound stage (mixed-radix
- * tail derivation included) runs only over the survivors.
+ * form. Candidates arrive as flat Decisions rows (a sampler draw, a
+ * genetic child, an exhaustive index decoded into reused rows) and
+ * are ingested as contiguous per-(row) lanes — steady bounds, boundary
+ * extents, tile footprints, spatial usage — laid out so the validity
+ * stages' inner loops always run over the batch dimension. The stage
+ * loops are branch-light (selects, no early exits) and cache-dense,
+ * which lets the compiler vectorize them; the staged reject (spatial
+ * fit -> tiles/capacity -> objective bound) runs batch-wide so
+ * rejected candidates never reach the expensive per-candidate
+ * access-count model, and the bound stage (mixed-radix tail
+ * derivation included) runs only over the survivors. A Mapping is
+ * built only for the candidates that survive.
  *
  * The engine is an *exact* reformulation, not an approximation: every
  * per-lane recurrence is the same integer/double arithmetic, in the
@@ -71,30 +74,22 @@ class BatchEvaluator
     void begin(std::size_t expected = kDefaultEvalBatch);
 
     /**
-     * Ingest one candidate from a constructed Mapping. Only the
-     * validity inputs (steady bounds and the packed keep/axis masks)
-     * are copied into lanes; nothing is borrowed.
+     * Ingest one candidate from a constructed Mapping (benches and
+     * rescoring tools that hold mappings). Only the validity inputs
+     * (steady bounds and the packed keep/axis masks) are copied into
+     * lanes; nothing is borrowed.
      */
     void add(const Mapping &mapping);
 
     /**
-     * Ingest one candidate from flat decision rows (a draw of
-     * Mapspace::sampleInto()): the steady row is copied lane-wise as
-     * it stands and the two packed masks are copied as words. The
-     * random search's hot path.
+     * Ingest one candidate from flat decision rows: the steady row is
+     * copied lane-wise as it stands and the two packed masks are
+     * copied as words (they must match the rows, as every Mapspace
+     * draw and edit keeps them). Every search feeds its candidates
+     * this way and materializes a Mapping only for the ones that
+     * survive the batch stages.
      */
     void add(const Decisions &decisions);
-
-    /**
-     * Ingest one candidate from raw decision tables (the exhaustive
-     * enumerator's decoded chains, a genome's rows) without building a
-     * Mapping. @p axes may be empty (all X, like Mapping). The caller
-     * materializes a Mapping only for candidates that survive the
-     * batch stages.
-     */
-    void add(const std::vector<std::vector<std::uint64_t>> &steady,
-             const std::vector<std::vector<char>> &keep,
-             const std::vector<std::vector<SpatialAxis>> &axes);
 
     /** Candidates ingested since begin(). */
     std::size_t size() const { return k_; }

@@ -1,6 +1,7 @@
 #include "ruby/model/delta_eval.hpp"
 
 #include <algorithm>
+#include <span>
 #include <utility>
 
 #include "ruby/common/error.hpp"
@@ -20,6 +21,26 @@ namespace
  * would only add overhead.
  */
 constexpr std::size_t kMaxDeltaRows = 4;
+
+/** Row @p r of width @p w of a flat decision table. */
+template <typename T>
+std::span<const T>
+rowOf(const std::vector<T> &rows, std::size_t r, std::size_t w)
+{
+    return std::span<const T>(rows).subspan(r * w, w);
+}
+
+/** Overwrite row @p r of width @p w of @p to with the same row of
+ *  @p from. */
+template <typename T>
+void
+copyRow(std::vector<T> &to, const std::vector<T> &from, std::size_t r,
+        std::size_t w)
+{
+    const auto row = rowOf(from, r, w);
+    std::copy(row.begin(), row.end(),
+              to.begin() + static_cast<std::ptrdiff_t>(r * w));
+}
 
 } // namespace
 
@@ -42,6 +63,8 @@ DeltaEvaluator::rebase(const Mapping &mapping, EvalStats &stats)
         base_.emplace(mapping);
         cand_.emplace(mapping);
     }
+    baseRows_ = mapping.decisions();
+    candRows_ = baseRows_;
     pending_.clear();
     baseCache_.invalidateAll();
     hasValidBase_ = false;
@@ -60,13 +83,13 @@ DeltaEvaluator::rebase(const Mapping &mapping, EvalStats &stats)
 }
 
 const EvalResult &
-DeltaEvaluator::evaluateCandidate(const MappingComponents &comp,
+DeltaEvaluator::evaluateCandidate(const Decisions &candidate,
                                   EvalStats &stats)
 {
     RUBY_ASSERT(base_, "rebase() before evaluating candidates");
     ++stats.deltaAttempts;
 
-    computeDiff(comp, diffScratch_);
+    computeDiff(candidate, diffScratch_);
     if (diffScratch_.rows() == 0 && hasValidBase_) {
         // Exact duplicate of the base: zero model work.
         ++stats.deltaHits;
@@ -74,8 +97,10 @@ DeltaEvaluator::evaluateCandidate(const MappingComponents &comp,
         return baseScratch_.result;
     }
 
-    syncCandidateToBase();
-    applyDiff(comp, diffScratch_);
+    // Re-sync the candidate buffer to the base, then apply the diff.
+    setCandidateRows(baseRows_, pending_);
+    setCandidateRows(candidate, diffScratch_);
+    pending_ = diffScratch_;
 
     const bool incremental =
         hasValidBase_ && diffScratch_.rows() <= kMaxDeltaRows;
@@ -109,6 +134,7 @@ DeltaEvaluator::promoteLast()
     if (!lastWasValidCandidate_)
         return;
     std::swap(base_, cand_);
+    std::swap(baseRows_, candRows_);
     std::swap(baseScratch_, candScratch_);
     std::swap(baseCache_, candCache_);
     // pending_ still names exactly the rows where the two mappings
@@ -119,128 +145,71 @@ DeltaEvaluator::promoteLast()
 }
 
 void
-DeltaEvaluator::computeDiff(const MappingComponents &comp,
-                            Diff &out) const
+DeltaEvaluator::computeDiff(const Decisions &candidate, Diff &out) const
 {
     out.clear();
-    const Problem &prob = eval_->problem();
-    const ArchSpec &arch = eval_->arch();
-    const int nd = prob.numDims();
-    const int nl = arch.numLevels();
-    const int nt = prob.numTensors();
-    const int slots = base_->numSlots();
+    const std::size_t nd =
+        static_cast<std::size_t>(eval_->problem().numDims());
+    const std::size_t nl =
+        static_cast<std::size_t>(eval_->arch().numLevels());
+    const std::size_t nt =
+        static_cast<std::size_t>(eval_->problem().numTensors());
+    const std::size_t slots = 2 * nl;
+    RUBY_ASSERT(candidate.steady.size() == nd * slots &&
+                    candidate.perms.size() == nl * nd &&
+                    candidate.keep.size() == nl * nt &&
+                    candidate.axes.size() == nl * nd,
+                "candidate rows do not match the problem and "
+                "architecture shape");
 
-    RUBY_ASSERT(comp.steady && comp.perms && comp.keep,
-                "candidate components must supply steady/perms/keep");
-    RUBY_ASSERT(static_cast<int>(comp.steady->size()) == nd &&
-                    static_cast<int>(comp.perms->size()) == nl &&
-                    static_cast<int>(comp.keep->size()) == nl,
-                "candidate component shape mismatch");
-
-    for (DimId d = 0; d < nd; ++d) {
-        const auto &row = (*comp.steady)[static_cast<std::size_t>(d)];
-        RUBY_ASSERT(static_cast<int>(row.size()) == slots,
-                    "candidate chain row has wrong slot count");
-        for (int k = 0; k < slots; ++k) {
-            if (row[static_cast<std::size_t>(k)] !=
-                base_->factor(d, k).steady) {
-                out.chains.push_back(d);
-                break;
-            }
-        }
-    }
-    for (int l = 0; l < nl; ++l) {
-        if ((*comp.perms)[static_cast<std::size_t>(l)] !=
-            base_->permutation(l))
-            out.perms.push_back(l);
-    }
-    for (int l = 0; l < nl; ++l) {
-        const auto &row = (*comp.keep)[static_cast<std::size_t>(l)];
-        RUBY_ASSERT(static_cast<int>(row.size()) == nt,
-                    "candidate keep row has wrong tensor count");
-        for (int t = 0; t < nt; ++t) {
-            if ((row[static_cast<std::size_t>(t)] != 0) !=
-                base_->keeps(l, t)) {
-                out.keeps.push_back(l);
-                break;
-            }
-        }
-    }
-    const bool have_axes = comp.axes != nullptr && !comp.axes->empty();
-    for (int l = 0; l < nl; ++l) {
-        for (DimId d = 0; d < nd; ++d) {
-            const SpatialAxis a =
-                have_axes ? (*comp.axes)[static_cast<std::size_t>(l)]
-                                        [static_cast<std::size_t>(d)]
-                          : SpatialAxis::X;
-            if (a != base_->spatialAxis(l, d)) {
-                out.axes.push_back(l);
-                break;
-            }
-        }
+    const auto differ = [](const auto &rows, const auto &base,
+                           std::size_t r, std::size_t w) {
+        const auto a = rowOf(rows, r, w);
+        return !std::equal(a.begin(), a.end(), rowOf(base, r, w).begin());
+    };
+    for (std::size_t d = 0; d < nd; ++d)
+        if (differ(candidate.steady, baseRows_.steady, d, slots))
+            out.chains.push_back(static_cast<DimId>(d));
+    for (std::size_t l = 0; l < nl; ++l) {
+        if (differ(candidate.perms, baseRows_.perms, l, nd))
+            out.perms.push_back(static_cast<int>(l));
+        if (differ(candidate.keep, baseRows_.keep, l, nt))
+            out.keeps.push_back(static_cast<int>(l));
+        if (differ(candidate.axes, baseRows_.axes, l, nd))
+            out.axes.push_back(static_cast<int>(l));
     }
 }
 
 void
-DeltaEvaluator::syncCandidateToBase()
+DeltaEvaluator::setCandidateRows(const Decisions &from, const Diff &rows)
 {
-    const Problem &prob = eval_->problem();
-    const int nd = prob.numDims();
-    const int nt = prob.numTensors();
-    const int slots = base_->numSlots();
+    const std::size_t nd =
+        static_cast<std::size_t>(eval_->problem().numDims());
+    const std::size_t nt =
+        static_cast<std::size_t>(eval_->problem().numTensors());
+    const std::size_t slots =
+        static_cast<std::size_t>(base_->numSlots());
 
-    for (DimId d : pending_.chains) {
-        steadyScratch_.resize(static_cast<std::size_t>(slots));
-        for (int k = 0; k < slots; ++k)
-            steadyScratch_[static_cast<std::size_t>(k)] =
-                base_->factor(d, k).steady;
-        cand_->setChain(d, steadyScratch_);
+    for (DimId d : rows.chains) {
+        const auto r = static_cast<std::size_t>(d);
+        copyRow(candRows_.steady, from.steady, r, slots);
+        cand_->setChain(d, rowOf(from.steady, r, slots));
     }
-    for (int l : pending_.perms)
-        cand_->setPermutation(l, base_->permutation(l));
-    for (int l : pending_.keeps) {
-        keepScratch_.resize(static_cast<std::size_t>(nt));
-        for (int t = 0; t < nt; ++t)
-            keepScratch_[static_cast<std::size_t>(t)] =
-                base_->keeps(l, t) ? 1 : 0;
-        cand_->setKeepRow(l, keepScratch_);
+    for (int l : rows.perms) {
+        const auto r = static_cast<std::size_t>(l);
+        copyRow(candRows_.perms, from.perms, r, nd);
+        cand_->setPermutation(l, rowOf(from.perms, r, nd));
     }
-    for (int l : pending_.axes) {
-        axisScratch_.resize(static_cast<std::size_t>(nd));
-        for (DimId d = 0; d < nd; ++d)
-            axisScratch_[static_cast<std::size_t>(d)] =
-                base_->spatialAxis(l, d);
-        cand_->setAxisRow(l, axisScratch_);
+    for (int l : rows.keeps) {
+        const auto r = static_cast<std::size_t>(l);
+        copyRow(candRows_.keep, from.keep, r, nt);
+        cand_->setKeepRow(l, rowOf(from.keep, r, nt));
     }
-    pending_.clear();
-}
-
-void
-DeltaEvaluator::applyDiff(const MappingComponents &comp,
-                          const Diff &diff)
-{
-    for (DimId d : diff.chains)
-        cand_->setChain(d,
-                        (*comp.steady)[static_cast<std::size_t>(d)]);
-    for (int l : diff.perms)
-        cand_->setPermutation(
-            l, (*comp.perms)[static_cast<std::size_t>(l)]);
-    for (int l : diff.keeps)
-        cand_->setKeepRow(l,
-                          (*comp.keep)[static_cast<std::size_t>(l)]);
-    const bool have_axes = comp.axes != nullptr && !comp.axes->empty();
-    for (int l : diff.axes) {
-        if (have_axes) {
-            cand_->setAxisRow(
-                l, (*comp.axes)[static_cast<std::size_t>(l)]);
-        } else {
-            axisScratch_.assign(
-                static_cast<std::size_t>(eval_->problem().numDims()),
-                SpatialAxis::X);
-            cand_->setAxisRow(l, axisScratch_);
-        }
+    for (int l : rows.axes) {
+        const auto r = static_cast<std::size_t>(l);
+        copyRow(candRows_.axes, from.axes, r, nd);
+        cand_->setAxisRow(l, rowOf(from.axes, r, nd));
     }
-    pending_ = diff;
 }
 
 void

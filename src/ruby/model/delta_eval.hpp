@@ -3,13 +3,17 @@
  * Incremental (delta) evaluation for the iterative searches.
  *
  * The iterative searches evaluate long runs of *adjacent* mappings: a
- * hill-climbing neighbour changes one genome row, a mutation-only
- * genetic child differs from its parent at a single level. The full
- * model re-derives every per-tensor access term from scratch each
- * time; the DeltaEvaluator instead keeps one fully-evaluated *base*
- * mapping plus the per-term memo the model produced for it
- * (AccessTermCache), diffs each candidate against the base at row
- * granularity, and re-derives only the terms the touched rows can
+ * hill-climbing neighbour changes one row of its Decisions, a
+ * mutation-only genetic child differs from its parent in a single
+ * row. The full model re-derives every per-tensor access term from
+ * scratch each time; the DeltaEvaluator instead keeps one
+ * fully-evaluated *base* mapping, its flat decision rows and the
+ * per-term memo the model produced for it (AccessTermCache). It takes
+ * each candidate as the same flat Decisions rows the searches edit,
+ * diffs them against the base's rows (one contiguous compare per
+ * chain, loop-order, residency and axis row), copies only the
+ * differing rows into its candidate Mapping through the span-taking
+ * set*() mutators, and re-derives only the terms the touched rows can
  * reach:
  *
  *   chain(d)  — exact per-slot comparison of the old and new factor
@@ -57,24 +61,6 @@ namespace ruby
 {
 
 /**
- * A candidate mapping described by borrowed genome-shaped component
- * tables (the searches hold exactly these rows). @c axes may be null
- * or empty, meaning all-X. None of the pointers are owned; they must
- * stay valid for the duration of the evaluateCandidate() call.
- */
-struct MappingComponents
-{
-    /** steady[d][slot], one row per dimension. */
-    const std::vector<std::vector<std::uint64_t>> *steady = nullptr;
-    /** perms[l], outermost first, one row per level. */
-    const std::vector<std::vector<DimId>> *perms = nullptr;
-    /** keep[l][t], one row per level. */
-    const std::vector<std::vector<char>> *keep = nullptr;
-    /** axes[l][d]; null or empty means all X. */
-    const std::vector<std::vector<SpatialAxis>> *axes = nullptr;
-};
-
-/**
  * Incremental evaluation engine for one (problem, arch) pair. Owns a
  * base mapping, its full evaluation, and the per-term memo; serves
  * candidate evaluations against that base. Not thread-safe: each
@@ -99,14 +85,17 @@ class DeltaEvaluator
     const EvalResult &rebase(const Mapping &mapping, EvalStats &stats);
 
     /**
-     * Evaluate the mapping described by @p comp. Produces exactly
+     * Evaluate the mapping whose decision rows are @p candidate (axis
+     * rows complete, keep flags 0 or 1, as every Mapspace draw and
+     * edit writes them; the packed masks are not read). Produces exactly
      * what Evaluator::evaluate() would (validity flag, reason and all
      * metrics bit-identical); counts one deltaAttempt plus either a
      * deltaHit (served against the base, possibly with zero model
      * work for an exact duplicate) or a deltaFallback (full in-place
-     * recomputation). Requires a prior rebase().
+     * recomputation). Requires a prior rebase(). The rows are read
+     * during the call only.
      */
-    const EvalResult &evaluateCandidate(const MappingComponents &comp,
+    const EvalResult &evaluateCandidate(const Decisions &candidate,
                                         EvalStats &stats);
 
     /**
@@ -152,9 +141,9 @@ class DeltaEvaluator
         }
     };
 
-    void computeDiff(const MappingComponents &comp, Diff &out) const;
-    void syncCandidateToBase();
-    void applyDiff(const MappingComponents &comp, const Diff &diff);
+    void computeDiff(const Decisions &candidate, Diff &out) const;
+    /** Copy @p rows of @p from into cand_ and candRows_. */
+    void setCandidateRows(const Decisions &from, const Diff &rows);
     void invalidateDirtyTerms(const Diff &diff);
     bool checkValidityIncremental(const Diff &diff);
     void runModelOnCandidate();
@@ -165,6 +154,10 @@ class DeltaEvaluator
     const Evaluator *eval_;
     std::optional<Mapping> base_;
     std::optional<Mapping> cand_;
+    /** The decision rows of base_ and cand_ (masks unused): diffs
+     *  compare flat rows, and re-syncs copy rows out of them. */
+    Decisions baseRows_;
+    Decisions candRows_;
     EvalScratch baseScratch_;
     EvalScratch candScratch_;
     AccessTermCache baseCache_;
@@ -176,10 +169,6 @@ class DeltaEvaluator
     bool hasValidBase_ = false;
     bool lastWasValidCandidate_ = false;
 
-    /** Row scratch for re-syncing cand_ to base_ (no allocation). */
-    std::vector<std::uint64_t> steadyScratch_;
-    std::vector<char> keepScratch_;
-    std::vector<SpatialAxis> axisScratch_;
 #ifndef NDEBUG
     EvalScratch checkScratch_;
 #endif

@@ -40,7 +40,6 @@
 #include "ruby/search/driver.hpp"
 #include "ruby/search/exhaustive_search.hpp"
 #include "ruby/search/genetic_search.hpp"
-#include "ruby/search/genome.hpp"
 #include "ruby/search/local_search.hpp"
 #include "ruby/search/random_search.hpp"
 #include "ruby/workload/conv.hpp"

@@ -33,8 +33,9 @@ struct EnumContext
     std::vector<std::vector<std::vector<std::uint64_t>>> chains;
     /** Shared permutation set (identity, or all permutations). */
     std::vector<std::vector<DimId>> perm_set;
-    /** Keep-all residency honouring forced bypasses. */
-    std::vector<std::vector<char>> keep;
+    /** The rows every leaf shares (leafRows()); each shard decodes
+     *  indices into its own copy. */
+    Decisions leaf;
 };
 
 /**
@@ -69,17 +70,9 @@ shardLoop(const EnumContext &ctx, const Evaluator &evaluator,
           ShardBest &best)
 {
     FaultInjector &faults = FaultInjector::global();
-    const Problem &prob = ctx.space.problem();
-    const ArchSpec &arch = ctx.space.arch();
-    const int nd = prob.numDims();
-    const int nl = arch.numLevels();
-
     EvalScratch scratch;
     std::vector<std::size_t> pick, perm_pick;
-    std::vector<std::vector<std::uint64_t>> steady(
-        static_cast<std::size_t>(nd));
-    std::vector<std::vector<DimId>> perms(
-        static_cast<std::size_t>(nl));
+    Decisions rows = ctx.leaf;
 
     for (;;) {
         const std::uint64_t start =
@@ -93,15 +86,8 @@ shardLoop(const EnumContext &ctx, const Evaluator &evaluator,
                  ctx.opts.cancel->cancelled()))
                 return;
             index_space.decode(i, pick, perm_pick);
-            for (DimId d = 0; d < nd; ++d)
-                steady[static_cast<std::size_t>(d)] =
-                    ctx.chains[static_cast<std::size_t>(d)]
-                              [pick[static_cast<std::size_t>(d)]];
-            for (int l = 0; l < nl; ++l)
-                perms[static_cast<std::size_t>(l)] =
-                    ctx.perm_set[perm_pick[static_cast<std::size_t>(
-                        l)]];
-            Mapping mapping(prob, arch, steady, perms, ctx.keep);
+            writeLeaf(ctx.chains, ctx.perm_set, pick, perm_pick, rows);
+            Mapping mapping = ctx.space.materialize(rows);
             if (faults.enabled())
                 faults.maybeThrow("exhaustive_search.evaluate");
             const StagedEval staged = evaluator.evaluateStaged(
@@ -134,9 +120,9 @@ shardLoop(const EnumContext &ctx, const Evaluator &evaluator,
 }
 
 /**
- * shardLoop() with the K-wide batch front end. Decoded decision rows
- * are ingested straight into the batch engine — no Mapping, no
- * FactorChain division — and a Mapping is materialized only for
+ * shardLoop() with the K-wide batch front end. Each index is decoded
+ * into reused decision rows that go straight into the batch engine —
+ * no Mapping, no FactorChain division — and a Mapping is built only for
  * candidates that survive both the batch validity stages and the
  * incumbent prune. Candidates are consumed in index order with the
  * scalar loop's per-index cancellation and fault points, the same
@@ -152,21 +138,10 @@ shardLoopBatched(const EnumContext &ctx, const Evaluator &evaluator,
                  ShardBest &best)
 {
     FaultInjector &faults = FaultInjector::global();
-    const Problem &prob = ctx.space.problem();
-    const ArchSpec &arch = ctx.space.arch();
-    const int nd = prob.numDims();
-    const int nl = arch.numLevels();
-
     EvalScratch scratch;
     BatchEvaluator batch(evaluator);
     std::vector<std::size_t> pick, perm_pick;
-    /** Per-candidate permutation picks, flat [j * nl + l]. */
-    std::vector<std::size_t> perm_picks;
-    std::vector<std::vector<std::uint64_t>> steady(
-        static_cast<std::size_t>(nd));
-    std::vector<std::vector<DimId>> perms(
-        static_cast<std::size_t>(nl));
-    const std::vector<std::vector<SpatialAxis>> no_axes;
+    Decisions rows = ctx.leaf;
 
     for (;;) {
         const std::uint64_t start =
@@ -178,18 +153,11 @@ shardLoopBatched(const EnumContext &ctx, const Evaluator &evaluator,
             const std::size_t want = static_cast<std::size_t>(
                 std::min<std::uint64_t>(kDefaultEvalBatch, end - s));
             batch.begin(want);
-            perm_picks.assign(want * static_cast<std::size_t>(nl), 0);
             for (std::size_t j = 0; j < want; ++j) {
                 index_space.decode(s + j, pick, perm_pick);
-                for (DimId d = 0; d < nd; ++d)
-                    steady[static_cast<std::size_t>(d)] =
-                        ctx.chains[static_cast<std::size_t>(d)][pick[
-                            static_cast<std::size_t>(d)]];
-                for (int l = 0; l < nl; ++l)
-                    perm_picks[j * static_cast<std::size_t>(nl) +
-                               static_cast<std::size_t>(l)] =
-                        perm_pick[static_cast<std::size_t>(l)];
-                batch.add(steady, ctx.keep, no_axes);
+                writeLeaf(ctx.chains, ctx.perm_set, pick, perm_pick,
+                          rows);
+                batch.add(rows);
             }
             batch.run(ctx.opts.objective, best.stats,
                       ctx.opts.boundPruning);
@@ -216,16 +184,9 @@ shardLoopBatched(const EnumContext &ctx, const Evaluator &evaluator,
                 }
                 const std::uint64_t i = s + j;
                 index_space.decode(i, pick, perm_pick);
-                for (DimId d = 0; d < nd; ++d)
-                    steady[static_cast<std::size_t>(d)] =
-                        ctx.chains[static_cast<std::size_t>(d)][pick[
-                            static_cast<std::size_t>(d)]];
-                for (int l = 0; l < nl; ++l)
-                    perms[static_cast<std::size_t>(l)] =
-                        ctx.perm_set[perm_picks[
-                            j * static_cast<std::size_t>(nl) +
-                            static_cast<std::size_t>(l)]];
-                Mapping mapping(prob, arch, steady, perms, ctx.keep);
+                writeLeaf(ctx.chains, ctx.perm_set, pick, perm_pick,
+                          rows);
+                Mapping mapping = ctx.space.materialize(rows);
                 batch.prepareScratch(j, scratch);
                 evaluator.modelValidated(mapping, scratch);
                 incumbent.observeMin(
@@ -257,7 +218,6 @@ exhaustiveSearch(const Mapspace &space, const Evaluator &evaluator,
     const ArchSpec &arch = space.arch();
     const int nd = prob.numDims();
     const int nl = arch.numLevels();
-    const int nt = prob.numTensors();
 
     unsigned threads = options.threads;
     if (threads == 0) {
@@ -298,15 +258,7 @@ exhaustiveSearch(const Mapspace &space, const Evaluator &evaluator,
         }
     }
 
-    // Keep-all residency honouring forced bypasses.
-    ctx.keep.assign(static_cast<std::size_t>(nl),
-                    std::vector<char>(static_cast<std::size_t>(nt),
-                                      1));
-    for (int l = 1; l < nl - 1; ++l)
-        for (int t = 0; t < nt; ++t)
-            if (space.constraints().bypassForced(l, t))
-                ctx.keep[static_cast<std::size_t>(l)]
-                        [static_cast<std::size_t>(t)] = 0;
+    ctx.leaf = leafRows(space);
 
     const ExhaustiveIndexSpace index_space(std::move(chain_counts),
                                            ctx.perm_set.size(), nl);

@@ -12,7 +12,6 @@
 #include "ruby/common/thread_pool.hpp"
 #include "ruby/model/batch_eval.hpp"
 #include "ruby/model/delta_eval.hpp"
-#include "ruby/search/genome.hpp"
 
 namespace ruby
 {
@@ -36,7 +35,7 @@ nsSince(Clock::time_point start)
 
 struct Individual
 {
-    MappingGenome genome;
+    Decisions decisions;
     double fitness = kInf; ///< objective value; lower is better
 };
 
@@ -82,8 +81,7 @@ scoreOne(const Mapspace &space, const Evaluator &evaluator,
          Tally &tally)
 {
     FaultInjector &faults = FaultInjector::global();
-    const Mapping mapping =
-        ind.genome.materialize(space.problem(), space.arch());
+    const Mapping mapping = space.materialize(ind.decisions);
     if (faults.enabled())
         faults.maybeThrow("genetic_search.evaluate");
     const auto t0 = Clock::now();
@@ -118,9 +116,8 @@ scoreIsland(const Mapspace &space, Objective objective, unsigned elites,
         return;
     FaultInjector &faults = FaultInjector::global();
     const auto t0 = Clock::now();
-    const Mapping base = island.population[0].genome.materialize(
-        space.problem(), space.arch());
-    engine.rebase(base, tally.stats);
+    engine.rebase(space.materialize(island.population[0].decisions),
+                  tally.stats);
     for (std::size_t m = elites; m < island.population.size(); ++m) {
         if ((external != nullptr && external->cancelled()) ||
             (poolCancel != nullptr && poolCancel->cancelled()))
@@ -128,12 +125,8 @@ scoreIsland(const Mapspace &space, Objective objective, unsigned elites,
         Individual &ind = island.population[m];
         if (faults.enabled())
             faults.maybeThrow("genetic_search.evaluate");
-        const MappingComponents comp{&ind.genome.steady,
-                                     &ind.genome.perms,
-                                     &ind.genome.keep,
-                                     &ind.genome.axes};
         const EvalResult &res =
-            engine.evaluateCandidate(comp, tally.stats);
+            engine.evaluateCandidate(ind.decisions, tally.stats);
         ++tally.evaluated;
         if (!res.valid) {
             ++tally.stats.invalid;
@@ -149,8 +142,8 @@ scoreIsland(const Mapspace &space, Objective objective, unsigned elites,
 
 /**
  * Score jobs [lo, hi) through the batch engine, K members at a time.
- * Genome decision tables are ingested directly — no Mapping is built
- * for members the batch validity stages reject — and fitness needs
+ * Decision rows are ingested directly — no Mapping is built for
+ * members the batch validity stages reject — and fitness needs
  * every surviving member's actual value, so the bound stages are
  * skipped outright (withBound = false). Each job writes only its own
  * individual's fitness plus @p tally, so chunked claiming stays free
@@ -173,11 +166,9 @@ scoreJobsBatched(const Mapspace &space, const Evaluator &evaluator,
             std::min<std::size_t>(kDefaultEvalBatch, hi - s);
         batch.begin(want);
         for (std::size_t j = 0; j < want; ++j) {
-            const MappingGenome &g =
-                archipelago[jobs[s + j].island]
-                    .population[jobs[s + j].member]
-                    .genome;
-            batch.add(g.steady, g.keep, g.axes);
+            batch.add(archipelago[jobs[s + j].island]
+                          .population[jobs[s + j].member]
+                          .decisions);
         }
         batch.run(objective, tally.stats, /*withBound=*/false);
         for (std::size_t j = 0; j < want; ++j) {
@@ -198,8 +189,7 @@ scoreJobsBatched(const Mapspace &space, const Evaluator &evaluator,
                 ind.fitness = kInf;
                 continue;
             }
-            const Mapping mapping = ind.genome.materialize(
-                space.problem(), space.arch());
+            const Mapping mapping = space.materialize(ind.decisions);
             batch.prepareScratch(j, scratch);
             evaluator.modelValidated(mapping, scratch);
             ++tally.stats.modeled;
@@ -435,16 +425,16 @@ geneticSearch(const Mapspace &space, const Evaluator &evaluator,
         }
     };
 
-    // Global best genome, reduced deterministically: strict fitness
+    // Global best, reduced deterministically: strict fitness
     // improvement scanning islands then members in index order.
     double best_fitness = kInf;
-    MappingGenome best_genome;
+    Decisions best_decisions;
     auto updateGlobalBest = [&]() {
         for (const Island &island : archipelago)
             for (const Individual &ind : island.population)
                 if (ind.fitness < best_fitness) {
                     best_fitness = ind.fitness;
-                    best_genome = ind.genome;
+                    best_decisions = ind.decisions;
                 }
     };
 
@@ -457,8 +447,7 @@ geneticSearch(const Mapspace &space, const Evaluator &evaluator,
         Island &island = archipelago[k];
         island.population.resize(options.populationSize);
         for (std::size_t m = 0; m < island.population.size(); ++m) {
-            island.population[m].genome =
-                extractGenome(space.sample(island.rng));
+            space.sample(island.rng, island.population[m].decisions);
             jobs.push_back(ScoreJob{k, m});
         }
     }
@@ -492,7 +481,7 @@ geneticSearch(const Mapspace &space, const Evaluator &evaluator,
             std::vector<Individual> &next_pop = offspring[k];
             next_pop.reserve(island.population.size());
 
-            // Elitism: carry the best genomes over unchanged (their
+            // Elitism: carry the best members over unchanged (their
             // fitness is already known; they are not rescored).
             const std::vector<std::size_t> order =
                 rankedIndices(island.population);
@@ -518,12 +507,12 @@ geneticSearch(const Mapspace &space, const Evaluator &evaluator,
                     options.crossoverRate >= 1.0 ||
                     island.rng.uniform() < options.crossoverRate;
                 if (do_cross)
-                    child.genome =
-                        crossover(p1.genome, p2.genome, island.rng);
+                    child.decisions = space.crossover(
+                        p1.decisions, p2.decisions, island.rng);
                 else
-                    child.genome = p1.genome;
+                    child.decisions = p1.decisions;
                 if (island.rng.uniform() < options.mutationRate)
-                    mutate(child.genome, space, island.rng);
+                    space.mutate(child.decisions, island.rng);
                 next_pop.push_back(std::move(child));
             }
         }
@@ -573,10 +562,9 @@ geneticSearch(const Mapspace &space, const Evaluator &evaluator,
     out.timers.totalNs = nsSince(total0);
     if (best_fitness < kInf) {
         // Re-materialize the winner once (not counted in the stats):
-        // tracking genomes instead of mappings keeps the hot loop free
-        // of Mapping copies, and re-evaluation is deterministic.
-        const Mapping mapping = best_genome.materialize(
-            space.problem(), space.arch());
+        // tracking decision rows instead of mappings keeps the hot loop
+        // free of Mapping copies, and re-evaluation is deterministic.
+        const Mapping mapping = space.materialize(best_decisions);
         evaluator.evaluate(mapping, worker_scratch[0]);
         out.best = mapping;
         out.bestResult = worker_scratch[0].result;

@@ -40,7 +40,7 @@ struct GeneticOptions
     /** Tournament size for parent selection. */
     unsigned tournament = 3;
 
-    /** Top genomes copied unchanged into the next generation. */
+    /** Top members copied unchanged into the next generation. */
     unsigned elites = 2;
 
     std::uint64_t seed = 42;
@@ -86,7 +86,7 @@ struct GeneticOptions
     /**
      * Serve bulk scoring (the initial population always; generations
      * whenever the incremental engine is off) through the batched SoA
-     * engine: genome rows are ingested directly and a Mapping is
+     * engine: decision rows are ingested directly and a Mapping is
      * materialized only for members that survive the batch validity
      * stages. Fitness values are bit-identical with the flag on or
      * off; disable only to measure the engine's effect.

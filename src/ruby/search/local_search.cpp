@@ -10,7 +10,6 @@
 #include "ruby/common/fault_injector.hpp"
 #include "ruby/common/thread_pool.hpp"
 #include "ruby/model/delta_eval.hpp"
-#include "ruby/search/genome.hpp"
 
 namespace ruby
 {
@@ -57,7 +56,7 @@ runClimb(const Mapspace &space, const Evaluator &evaluator,
     // is an exact recomputation, so the counters (and the best
     // mapping) are identical with the engine on or off.
     auto account = [&](const EvalResult &res,
-                       const MappingGenome *genome,
+                       const Decisions *decisions,
                        const Mapping *mapping, double &metric) -> bool {
         ++out.evaluated;
         if (!res.valid) {
@@ -73,17 +72,15 @@ runClimb(const Mapspace &space, const Evaluator &evaluator,
             // loop never copies a Mapping.
             out.best = mapping != nullptr
                            ? *mapping
-                           : genome->materialize(space.problem(),
-                                                 space.arch());
+                           : space.materialize(*decisions);
             out.bestResult = res;
         }
         return true;
     };
 
-    // A start is evaluated fully — directly on the sampled mapping
-    // (no genome round-trip; most samples are invalid, so the extract
-    // + rebuild would be wasted). With the engine on, the same full
-    // evaluation doubles as the engine's base (re)establishment.
+    // A start is evaluated fully on its sampled mapping. With the
+    // engine on, the same full evaluation doubles as the engine's
+    // base (re)establishment.
     auto evaluateStart = [&](const Mapping &mapping,
                              double &metric) -> bool {
         if (faults.enabled())
@@ -104,64 +101,62 @@ runClimb(const Mapspace &space, const Evaluator &evaluator,
     // lower-bound prune does not apply; neighbours are single-row
     // deltas against the current mapping, which is exactly the
     // engine's sweet spot.
-    auto evaluateNeighbour = [&](const MappingGenome &genome,
+    auto evaluateNeighbour = [&](const Decisions &decisions,
                                  double &metric) -> bool {
         if (faults.enabled())
             faults.maybeThrow("local_search.evaluate");
         if (engine) {
-            const MappingComponents comp{&genome.steady, &genome.perms,
-                                         &genome.keep, &genome.axes};
             const auto t0 = Clock::now();
             const EvalResult &res =
-                engine->evaluateCandidate(comp, out.stats);
+                engine->evaluateCandidate(decisions, out.stats);
             out.timers.evalNs += nsSince(t0);
-            return account(res, &genome, nullptr, metric);
+            return account(res, &decisions, nullptr, metric);
         }
-        const Mapping mapping =
-            genome.materialize(space.problem(), space.arch());
+        const Mapping mapping = space.materialize(decisions);
         const auto t0 = Clock::now();
         evaluator.evaluate(mapping, scratch);
         out.timers.evalNs += nsSince(t0);
-        return account(scratch.result, &genome, &mapping, metric);
+        return account(scratch.result, &decisions, &mapping, metric);
     };
 
     auto cancelled = [&]() {
         return options.cancel != nullptr &&
                options.cancel->cancelled();
     };
+    // The climb's rows, reused across restarts and steps.
+    Decisions current;
+    Decisions best_neighbour;
+    MutationUndo undo;
     while (out.evaluated < budget && !cancelled()) {
-        // Random (valid) start. The genome is extracted only once a
-        // sample sticks — rejected samples never leave Mapping form.
-        MappingGenome current;
+        // Random (valid) start, drawn straight into the climb's rows.
         double current_metric = kInf;
         bool started = false;
         while (!started && out.evaluated < budget && !cancelled()) {
-            const Mapping sample = space.sample(rng);
-            started = evaluateStart(sample, current_metric);
-            if (started)
-                current = extractGenome(sample);
+            space.sample(rng, current);
+            started =
+                evaluateStart(space.materialize(current), current_metric);
         }
         if (!started)
             break;
 
-        // Climb until patience runs out.
+        // Climb until patience runs out. Cancellation is polled per
+        // neighbour, so a drain never waits out a whole climb.
         unsigned stale = 0;
-        MutationUndo undo;
-        while (stale < options.patience && out.evaluated < budget) {
-            MappingGenome best_neighbour;
+        while (stale < options.patience && out.evaluated < budget &&
+               !cancelled()) {
             double best_metric = kInf;
             // True while the incumbent best neighbour was also the
             // engine's most recent candidate (promotable in place).
             bool best_is_last = false;
             for (unsigned n = 0; n < options.neighboursPerStep &&
-                                 out.evaluated < budget;
+                                 out.evaluated < budget && !cancelled();
                  ++n) {
                 // Mutate in place and revert after scoring: the same
                 // neighbour sequence as copy-then-mutate, without a
-                // genome copy per candidate. Only an improving
-                // neighbour is copied out.
+                // copy per candidate. Only an improving neighbour is
+                // copied out.
                 const auto b0 = Clock::now();
-                mutate(current, space, rng, &undo);
+                space.mutate(current, rng, &undo);
                 out.timers.breedNs += nsSince(b0);
                 double metric = kInf;
                 if (evaluateNeighbour(current, metric) &&
@@ -172,7 +167,7 @@ runClimb(const Mapspace &space, const Evaluator &evaluator,
                 } else {
                     best_is_last = false;
                 }
-                undoMutation(current, undo);
+                space.undoMutation(current, undo);
             }
             if (best_metric < current_metric) {
                 if (engine) {
@@ -181,18 +176,14 @@ runClimb(const Mapspace &space, const Evaluator &evaluator,
                     // re-derive it (a deterministic repeat — not a
                     // counted evaluation) and promote.
                     if (!best_is_last) {
-                        const MappingComponents comp{
-                            &best_neighbour.steady,
-                            &best_neighbour.perms,
-                            &best_neighbour.keep,
-                            &best_neighbour.axes};
                         const auto t0 = Clock::now();
-                        engine->evaluateCandidate(comp, out.stats);
+                        engine->evaluateCandidate(best_neighbour,
+                                                  out.stats);
                         out.timers.evalNs += nsSince(t0);
                     }
                     engine->promoteLast();
                 }
-                current = std::move(best_neighbour);
+                std::swap(current, best_neighbour);
                 current_metric = best_metric;
                 stale = 0;
             } else {

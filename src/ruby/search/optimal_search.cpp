@@ -77,8 +77,9 @@ struct BnbContext
     std::vector<std::vector<std::vector<std::uint64_t>>> chains;
     /** Shared permutation set (identity, or all permutations). */
     std::vector<std::vector<DimId>> perm_set;
-    /** Keep-all residency honouring forced bypasses. */
-    std::vector<std::vector<char>> keep;
+    /** The rows every leaf shares (leafRows()): keep-all residency
+     *  honouring forced bypasses; workers decode into copies. */
+    Decisions leaf;
 
     /**
      * Exact serial compute steps per (dimension, chain), and each
@@ -172,8 +173,7 @@ class BnbWorker
     {
         if (batched)
             batch_.emplace(evaluator);
-        steady_.resize(static_cast<std::size_t>(nd_));
-        perms_.resize(static_cast<std::size_t>(nl_));
+        rows_ = ctx.leaf;
         floor_.resize(static_cast<std::size_t>(nd_));
         extLB_.resize(static_cast<std::size_t>(nd_));
     }
@@ -294,13 +294,11 @@ class BnbWorker
                 extLB_[sd] = d >= k ? ctx_.ext[sd][cd][sl]
                                     : ctx_.minExt[sd][sl];
             }
+            const char *kept = ctx_.leaf.keep.data() + l * nt_;
             std::uint64_t shared = 0;
             if (capacityOverflow(
                     lvl, nt_,
-                    [&](int t) {
-                        return ctx_.keep[sl][static_cast<std::size_t>(
-                                   t)] != 0;
-                    },
+                    [&](int t) { return kept[t] != 0; },
                     [&](int t) { return prob.tileVolume(t, extLB_); },
                     shared) >= 0)
                 return true;
@@ -547,7 +545,6 @@ class BnbWorker
         BatchEvaluator &batch = *batch_;
         lane_index_.clear();
         batch.begin(n);
-        const std::vector<std::vector<SpatialAxis>> no_axes;
         for (std::size_t j = 0; j < n; ++j) {
             const std::uint64_t i = window_[j];
             index_space_.decode(i, pick_, perm_pick_);
@@ -557,11 +554,9 @@ class BnbWorker
                 ++best_.stats.prunedBound;
                 continue;
             }
-            for (DimId d = 0; d < nd_; ++d)
-                steady_[static_cast<std::size_t>(d)] =
-                    ctx_.chains[static_cast<std::size_t>(d)]
-                               [pick_[static_cast<std::size_t>(d)]];
-            batch.add(steady_, ctx_.keep, no_axes);
+            writeLeaf(ctx_.chains, ctx_.perm_set, pick_, perm_pick_,
+                      rows_);
+            batch.add(rows_);
             lane_index_.push_back(i);
         }
         if (lane_index_.empty())
@@ -587,16 +582,9 @@ class BnbWorker
             }
             const std::uint64_t i = lane_index_[j];
             index_space_.decode(i, pick_, perm_pick_);
-            for (DimId d = 0; d < nd_; ++d)
-                steady_[static_cast<std::size_t>(d)] =
-                    ctx_.chains[static_cast<std::size_t>(d)]
-                               [pick_[static_cast<std::size_t>(d)]];
-            for (int l = 0; l < nl_; ++l)
-                perms_[static_cast<std::size_t>(l)] =
-                    ctx_.perm_set[perm_pick_[
-                        static_cast<std::size_t>(l)]];
-            Mapping mapping(ctx_.space.problem(), ctx_.space.arch(),
-                            steady_, perms_, ctx_.keep);
+            writeLeaf(ctx_.chains, ctx_.perm_set, pick_, perm_pick_,
+                      rows_);
+            Mapping mapping = ctx_.space.materialize(rows_);
             batch.prepareScratch(j, scratch_);
             evaluator_.modelValidated(mapping, scratch_);
             const double metric =
@@ -623,16 +611,9 @@ class BnbWorker
                 ++best_.stats.prunedBound;
                 continue;
             }
-            for (DimId d = 0; d < nd_; ++d)
-                steady_[static_cast<std::size_t>(d)] =
-                    ctx_.chains[static_cast<std::size_t>(d)]
-                               [pick_[static_cast<std::size_t>(d)]];
-            for (int l = 0; l < nl_; ++l)
-                perms_[static_cast<std::size_t>(l)] =
-                    ctx_.perm_set[perm_pick_[
-                        static_cast<std::size_t>(l)]];
-            Mapping mapping(ctx_.space.problem(), ctx_.space.arch(),
-                            steady_, perms_, ctx_.keep);
+            writeLeaf(ctx_.chains, ctx_.perm_set, pick_, perm_pick_,
+                      rows_);
+            Mapping mapping = ctx_.space.materialize(rows_);
             if (faults.enabled())
                 faults.maybeThrow("optimal_search.evaluate");
             const StagedEval staged = evaluator_.evaluateStaged(
@@ -678,8 +659,8 @@ class BnbWorker
     std::optional<BatchEvaluator> batch_;
     EvalScratch scratch_;
     std::vector<std::size_t> pick_, perm_pick_;
-    std::vector<std::vector<std::uint64_t>> steady_;
-    std::vector<std::vector<DimId>> perms_;
+    /** The leaf being decoded (a copy of ctx_.leaf's rows). */
+    Decisions rows_;
     std::vector<double> floor_;
     std::vector<std::uint64_t> extLB_;
     std::vector<Node> children_;
@@ -802,15 +783,7 @@ optimalSearch(const Mapspace &space, const Evaluator &evaluator,
         }
     }
 
-    // Keep-all residency honouring forced bypasses.
-    ctx.keep.assign(static_cast<std::size_t>(nl),
-                    std::vector<char>(static_cast<std::size_t>(nt),
-                                      1));
-    for (int l = 1; l < nl - 1; ++l)
-        for (int t = 0; t < nt; ++t)
-            if (space.constraints().bypassForced(l, t))
-                ctx.keep[static_cast<std::size_t>(l)]
-                        [static_cast<std::size_t>(t)] = 0;
+    ctx.leaf = leafRows(space);
 
     const ExhaustiveIndexSpace index_space(chain_counts,
                                            ctx.perm_set.size(), nl);
@@ -845,9 +818,10 @@ optimalSearch(const Mapspace &space, const Evaluator &evaluator,
                     extLB[se] = e == d ? ctx.ext[sd][c][sl]
                                        : ctx.minExt[se][sl];
                 }
+                const char *kept = ctx.leaf.keep.data() + l * nt;
                 std::uint64_t shared = 0;
                 for (int t = 0; t < nt; ++t) {
-                    if (!ctx.keep[sl][static_cast<std::size_t>(t)])
+                    if (!kept[t])
                         continue;
                     const std::uint64_t tile =
                         prob.tileVolume(t, extLB);

@@ -16,7 +16,6 @@
 #include "ruby/common/thread_pool.hpp"
 #include "ruby/model/batch_eval.hpp"
 #include "ruby/model/delta_eval.hpp"
-#include "ruby/search/genome.hpp"
 
 namespace ruby
 {
@@ -417,7 +416,10 @@ refineBest(const Mapspace &space, const Evaluator &evaluator,
     FaultInjector &faults = FaultInjector::global();
     const auto t0 = Clock::now();
     Rng rng(opts.seed ^ 0x9e3779b97f4a7c15ull);
-    MappingGenome genome = extractGenome(*best.best);
+    // Each neighbour is the walk's rows mutated in place; a rejected
+    // one is undone, an accepted one stays.
+    Decisions rows = best.best->decisions();
+    MutationUndo undo;
     double best_metric = best.bestResult.objective(opts.objective);
     EvalScratch scratch;
     std::optional<DeltaEvaluator> engine;
@@ -432,54 +434,39 @@ refineBest(const Mapspace &space, const Evaluator &evaluator,
             best.deadlineExceeded = true;
             break;
         }
-        MappingGenome neighbour = genome;
-        mutate(neighbour, space, rng);
+        space.mutate(rows, rng, &undo);
         if (faults.enabled())
             faults.maybeThrow("random_search.evaluate");
         ++best.evaluated;
+        std::optional<Mapping> mapping;
+        const EvalResult *res = nullptr;
         if (engine) {
-            const MappingComponents comp{&neighbour.steady,
-                                         &neighbour.perms,
-                                         &neighbour.keep,
-                                         &neighbour.axes};
-            const EvalResult &res =
-                engine->evaluateCandidate(comp, best.stats);
-            if (!res.valid) {
-                ++best.stats.invalid;
-                continue;
-            }
+            res = &engine->evaluateCandidate(rows, best.stats);
+        } else {
+            mapping.emplace(space.materialize(rows));
+            evaluator.evaluate(*mapping, scratch);
+            res = &scratch.result;
+        }
+        if (!res->valid) {
+            ++best.stats.invalid;
+        } else {
             ++best.stats.modeled;
             ++best.valid;
-            const double metric = res.objective(opts.objective);
+            const double metric = res->objective(opts.objective);
             if (metric < best_metric) {
                 best_metric = metric;
-                best.best = neighbour.materialize(space.problem(),
-                                                  space.arch());
-                // Copy before the promote: the reference points into
-                // the engine's candidate buffer, which promoteLast()
+                best.best = mapping ? std::move(*mapping)
+                                    : space.materialize(rows);
+                // Copy before the promote: the result lives in the
+                // engine's candidate buffer, which promoteLast()
                 // swaps away.
-                best.bestResult = res;
-                engine->promoteLast();
-                genome = std::move(neighbour);
+                best.bestResult = *res;
+                if (engine)
+                    engine->promoteLast();
+                continue;
             }
-            continue;
         }
-        const Mapping mapping =
-            neighbour.materialize(space.problem(), space.arch());
-        evaluator.evaluate(mapping, scratch);
-        if (!scratch.result.valid) {
-            ++best.stats.invalid;
-            continue;
-        }
-        ++best.stats.modeled;
-        ++best.valid;
-        const double metric = scratch.result.objective(opts.objective);
-        if (metric < best_metric) {
-            best_metric = metric;
-            best.best = mapping;
-            best.bestResult = scratch.result;
-            genome = std::move(neighbour);
-        }
+        space.undoMutation(rows, undo);
     }
     best.timers.evalNs += nsSince(t0);
 }

@@ -20,7 +20,6 @@
 #include "ruby/search/driver.hpp"
 #include "ruby/search/exhaustive_search.hpp"
 #include "ruby/search/genetic_search.hpp"
-#include "ruby/search/genome.hpp"
 #include "ruby/search/random_search.hpp"
 #include "ruby/workload/conv.hpp"
 #include "ruby/workload/suites/suites.hpp"
@@ -167,11 +166,12 @@ TEST(BatchEval, DirectParitySweepSimba)
 }
 
 /**
- * The raw-table and flat-decision ingestion paths (exhaustive
- * enumeration and genomes; the random sampler's sampleInto() rows)
- * must decide exactly like the Mapping path, lane for lane — their
- * tails are re-derived in lane form rather than copied, so this pins
- * the division pass — and hand modelValidated() the same tile table.
+ * The flat-decision ingestion path (every draw's rows as
+ * Mapping::decisions() returns them, and the random sampler's
+ * sampleInto() rows) must decide exactly like the Mapping path, lane
+ * for lane — their tails are re-derived in lane form rather than
+ * copied, so this pins the division pass — and hand modelValidated()
+ * the same tile table.
  * The sampler rejects a doomed draw before it takes a lane, so the
  * flat path carries only the completed draws, and each rejected draw
  * must be one the Mapping path finds invalid.
@@ -180,47 +180,43 @@ void
 ingestPathsAgree(PresetFixture fix, std::uint64_t seed)
 {
     BatchEvaluator viaMapping(fix.eval);
-    BatchEvaluator viaTables(fix.eval);
+    BatchEvaluator viaDecisions(fix.eval);
     BatchEvaluator viaFlat(fix.eval);
     EvalStats stats;
     const std::size_t k = 64;
-    std::vector<MappingGenome> genomes;
-    genomes.reserve(k);
     std::vector<Mapping> drawn;
     drawn.reserve(k);
     std::vector<Decisions> rows(k);
     std::vector<std::size_t> flatLane(k, k); // k: rejected
     std::size_t flatLanes = 0;
     viaMapping.begin(k);
-    viaTables.begin(k);
+    viaDecisions.begin(k);
     viaFlat.begin(k);
     for (std::size_t i = 0; i < k; ++i) {
         Rng viaSample = Rng::keyed(seed, i);
         Rng viaRows = Rng::keyed(seed, i);
         drawn.push_back(fix.space.sample(viaSample));
-        genomes.push_back(extractGenome(drawn.back()));
         viaMapping.add(drawn.back());
-        viaTables.add(genomes.back().steady, genomes.back().keep,
-                      genomes.back().axes);
+        viaDecisions.add(drawn.back().decisions());
         if (fix.space.sampleInto(viaRows, rows[i])) {
             flatLane[i] = flatLanes++;
             viaFlat.add(rows[i]);
         }
     }
     viaMapping.run(Objective::EDP, stats);
-    viaTables.run(Objective::EDP, stats);
+    viaDecisions.run(Objective::EDP, stats);
     viaFlat.run(Objective::EDP, stats);
     EvalScratch fromMapping, fromFlat;
     std::size_t survivors = 0;
     for (std::size_t i = 0; i < k; ++i) {
-        EXPECT_EQ(viaMapping.valid(i), viaTables.valid(i)) << i;
+        EXPECT_EQ(viaMapping.valid(i), viaDecisions.valid(i)) << i;
         const std::size_t j = flatLane[i];
         ASSERT_EQ(viaMapping.valid(i), j != k) << i;
         if (!viaMapping.valid(i))
             continue;
         ASSERT_TRUE(viaFlat.valid(j)) << i;
         ++survivors;
-        EXPECT_EQ(viaMapping.bound(i), viaTables.bound(i)) << i;
+        EXPECT_EQ(viaMapping.bound(i), viaDecisions.bound(i)) << i;
         EXPECT_EQ(viaMapping.bound(i), viaFlat.bound(j)) << i;
         viaMapping.prepareScratch(i, fromMapping);
         viaFlat.prepareScratch(j, fromFlat);

@@ -11,11 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "ruby/arch/presets.hpp"
 #include "ruby/common/rng.hpp"
 #include "ruby/model/delta_eval.hpp"
 #include "ruby/search/driver.hpp"
-#include "ruby/search/genome.hpp"
 #include "ruby/workload/conv.hpp"
 #include "ruby/workload/suites/suites.hpp"
 
@@ -82,14 +83,8 @@ expectIdentical(const EvalResult &a, const EvalResult &b)
     EXPECT_EQ(a.latency.utilization, b.latency.utilization);
 }
 
-MappingComponents
-componentsOf(const MappingGenome &g)
-{
-    return MappingComponents{&g.steady, &g.perms, &g.keep, &g.axes};
-}
-
 /**
- * The core sweep: sample a base mapping, rebase, mutate one genome
+ * The core sweep: sample a base mapping, rebase, mutate one decision
  * row, and demand the engine's candidate evaluation matches a full
  * evaluation bit for bit. The mutation operator picks a random
  * component (chain / permutation / residency / axis), so across
@@ -110,12 +105,10 @@ randomSingleDeltaSweep(PresetFixture fix, int iterations,
         fix.eval.evaluate(base, check);
         expectIdentical(check.result, baseRes);
 
-        MappingGenome genome = extractGenome(base);
-        mutate(genome, fix.space, rng);
-        const EvalResult &res =
-            engine.evaluateCandidate(componentsOf(genome), stats);
-        const Mapping cand =
-            genome.materialize(fix.prob, fix.arch);
+        Decisions rows = base.decisions();
+        fix.space.mutate(rows, rng);
+        const EvalResult &res = engine.evaluateCandidate(rows, stats);
+        const Mapping cand = fix.space.materialize(rows);
         fix.eval.evaluate(cand, check);
         expectIdentical(check.result, res);
         if (::testing::Test::HasFatalFailure())
@@ -162,16 +155,21 @@ TEST(DeltaEvalTest, ChainTailBoundaryDeltas)
         while (!engine.rebase(base, stats).valid)
             base = fix.space.sample(rng);
         const Mapping donor = fix.space.sample(rng);
-        const MappingGenome g = extractGenome(base);
-        const MappingGenome gd = extractGenome(donor);
-        for (DimId d = 0; d < fix.prob.numDims(); ++d) {
-            MappingGenome cand = g;
-            cand.steady[static_cast<std::size_t>(d)] =
-                gd.steady[static_cast<std::size_t>(d)];
+        const Decisions rows = base.decisions();
+        const Decisions donorRows = donor.decisions();
+        const std::size_t slots =
+            static_cast<std::size_t>(base.numSlots());
+        for (std::size_t d = 0;
+             d < static_cast<std::size_t>(fix.prob.numDims()); ++d) {
+            Decisions cand = rows;
+            std::copy_n(donorRows.steady.begin() +
+                            static_cast<std::ptrdiff_t>(d * slots),
+                        slots,
+                        cand.steady.begin() +
+                            static_cast<std::ptrdiff_t>(d * slots));
             const EvalResult &res =
-                engine.evaluateCandidate(componentsOf(cand), stats);
-            const Mapping mapping =
-                cand.materialize(fix.prob, fix.arch);
+                engine.evaluateCandidate(cand, stats);
+            const Mapping mapping = fix.space.materialize(cand);
             fix.eval.evaluate(mapping, check);
             expectIdentical(check.result, res);
             if (::testing::Test::HasFatalFailure())
@@ -196,10 +194,9 @@ TEST(DeltaEvalTest, ExactDuplicateServedFromBase)
     for (;;) {
         const Mapping base = fix.space.sample(rng);
         if (engine.rebase(base, stats).valid) {
-            const MappingGenome g = extractGenome(base);
             const std::uint64_t hits_before = stats.deltaHits;
             const EvalResult &res =
-                engine.evaluateCandidate(componentsOf(g), stats);
+                engine.evaluateCandidate(base.decisions(), stats);
             expectIdentical(engine.baseResult(), res);
             EXPECT_EQ(stats.deltaHits, hits_before + 1);
             return;
@@ -220,29 +217,27 @@ TEST(DeltaEvalTest, PromoteWalkStaysExact)
     DeltaEvaluator engine(fix.eval);
     EvalStats stats;
     EvalScratch check;
-    MappingGenome genome;
+    Decisions rows;
     for (;;) {
         const Mapping m = fix.space.sample(rng);
         if (engine.rebase(m, stats).valid) {
-            genome = extractGenome(m);
+            rows = m.decisions();
             break;
         }
     }
+    MutationUndo undo;
     for (int step = 0; step < 300; ++step) {
-        MappingGenome neighbour = genome;
-        mutate(neighbour, fix.space, rng);
-        const EvalResult &res =
-            engine.evaluateCandidate(componentsOf(neighbour), stats);
-        const Mapping mapping =
-            neighbour.materialize(fix.prob, fix.arch);
+        fix.space.mutate(rows, rng, &undo);
+        const EvalResult &res = engine.evaluateCandidate(rows, stats);
+        const Mapping mapping = fix.space.materialize(rows);
         fix.eval.evaluate(mapping, check);
         expectIdentical(check.result, res);
         if (::testing::Test::HasFatalFailure())
             return;
-        if (res.valid) {
+        if (res.valid)
             engine.promoteLast();
-            genome = std::move(neighbour);
-        }
+        else
+            fix.space.undoMutation(rows, undo);
     }
     EXPECT_EQ(stats.deltaHits + stats.deltaFallbacks,
               stats.deltaAttempts);

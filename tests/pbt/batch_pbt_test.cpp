@@ -5,8 +5,9 @@
  * every lane — validity, objective bound, and the scratch handed to
  * the full model — bit-identically to the scalar Evaluator stages, at
  * every batch width including 1, primes, the default, and widths
- * beyond it; and the batched random search replays the scalar search
- * exactly, trajectory and counters included.
+ * beyond it; the batched random search replays the scalar search
+ * exactly, trajectory and counters included; and the Mapspace edit
+ * operators keep the packed masks the batch engine trusts.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +16,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "generators.hpp"
@@ -22,6 +24,7 @@
 #include "ruby/model/batch_eval.hpp"
 #include "ruby/model/evaluator.hpp"
 #include "ruby/search/random_search.hpp"
+#include "ruby/workload/conv.hpp"
 
 namespace
 {
@@ -188,6 +191,142 @@ TEST(BatchPbt, BatchedRandomSearchReplaysScalarSearch)
                      pbt::shrinkWorkload,
                      [](const WorkloadCase &c) { return c.describe(); },
                      15);
+}
+
+/**
+ * Property 3 — the edit operators keep the packed masks true: after
+ * any sequence of mutate(), undoMutation() and crossover() on sampled
+ * rows, keepMask and axisYMask equal the masks a Mapping recomputes
+ * from the rows (both zero where a table exceeds 64 bits), and where
+ * the batch engine applies, it decides every edited draw exactly like
+ * the scalar validity check.
+ */
+std::optional<std::string>
+editedMasksCoherent(const Problem &prob, const ArchSpec &arch,
+                    MapspaceVariant variant, std::uint64_t seed,
+                    const std::string &what)
+{
+    const MappingConstraints cons(prob, arch);
+    const Mapspace space(cons, variant);
+    const Evaluator eval(prob, arch);
+
+    Rng rng(seed);
+    Decisions a, b;
+    space.sample(rng, a);
+    space.sample(rng, b);
+    MutationUndo undo;
+    std::vector<Decisions> edited;
+    for (int step = 0; step < 48; ++step) {
+        switch (rng.below(4)) {
+          case 0:
+            space.mutate(a, rng);
+            break;
+          case 1:
+            space.mutate(a, rng, &undo);
+            if (rng.below(2) == 0)
+                space.undoMutation(a, undo);
+            break;
+          case 2:
+            a = space.crossover(a, b, rng);
+            break;
+          default:
+            space.mutate(b, rng);
+            std::swap(a, b);
+            break;
+        }
+        const Mapping mapping(prob, arch, a);
+        if (a.keepMask != mapping.keepMask() ||
+            a.axisYMask != mapping.axisYMask()) {
+            std::ostringstream os;
+            os << "step " << step << ": masks keep=" << std::hex
+               << a.keepMask << " axisY=" << a.axisYMask
+               << " but the rows give keep=" << mapping.keepMask()
+               << " axisY=" << mapping.axisYMask() << " (" << what
+               << ")";
+            return os.str();
+        }
+        edited.push_back(a);
+    }
+
+    if (!BatchEvaluator::supports(prob, arch))
+        return std::nullopt;
+    BatchEvaluator batch(eval);
+    EvalStats stats;
+    EvalScratch scratch;
+    batch.begin(edited.size());
+    for (const Decisions &rows : edited)
+        batch.add(rows);
+    batch.run(Objective::EDP, stats, /*withBound=*/false);
+    for (std::size_t i = 0; i < edited.size(); ++i) {
+        const bool valid = eval.checkValidity(
+            space.materialize(edited[i]), scratch, false);
+        if (batch.valid(i) != valid) {
+            std::ostringstream os;
+            os << "edited draw " << i << ": batch valid="
+               << batch.valid(i) << " but scalar valid=" << valid
+               << " (" << what << ")";
+            return os.str();
+        }
+    }
+    return std::nullopt;
+}
+
+TEST(BatchPbt, EditedDecisionsKeepMasksCoherent)
+{
+    ruby::pbt::check(
+        "editedMasksCoherent", 0xBA7Eu, pbt::genWorkload,
+        [](const WorkloadCase &c) {
+            return editedMasksCoherent(c.problem(), c.arch(), c.variant,
+                                       c.sampleSeed, c.describe());
+        },
+        pbt::shrinkWorkload,
+        [](const WorkloadCase &c) { return c.describe(); }, 25);
+}
+
+/**
+ * The same property on a hierarchy too deep for the masks: 23 levels
+ * of a convolution make both tables wider than 64 bits, so both masks
+ * must stay zero under every edit (the batch engine declines such
+ * configurations).
+ */
+TEST(BatchPbt, EditedDecisionsOfADeepHierarchyPackNoMasks)
+{
+    std::vector<StorageLevelSpec> levels(23);
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+        StorageLevelSpec &lvl = levels[l];
+        lvl.name = "L" + std::to_string(l);
+        lvl.capacityWords =
+            l + 1 < levels.size() ? std::uint64_t{64} << l : 0;
+        lvl.readEnergy = lvl.writeEnergy = 1.0 + static_cast<double>(l);
+        if (l % 5 == 1) {
+            lvl.fanoutX = 2;
+            lvl.fanoutY = 2;
+        }
+    }
+    const ArchSpec arch("deep-23", levels, 1.0, 1.0);
+    ConvShape shape;
+    shape.c = shape.m = 8;
+    shape.p = shape.q = 4;
+    shape.r = shape.s = 3;
+    const Problem prob = makeConv(shape);
+    ASSERT_GT(arch.numLevels() * prob.numTensors(), 64);
+    ASSERT_GT(arch.numLevels() * prob.numDims(), 64);
+    ASSERT_FALSE(BatchEvaluator::supports(prob, arch));
+    for (const std::uint64_t seed : {1u, 2u, 3u}) {
+        const auto failure = editedMasksCoherent(
+            prob, arch, MapspaceVariant::Ruby, seed, "deep-23");
+        EXPECT_FALSE(failure.has_value()) << *failure;
+    }
+    const MappingConstraints cons(prob, arch);
+    const Mapspace space(cons, MapspaceVariant::Ruby);
+    Rng rng(4);
+    Decisions rows;
+    space.sample(rng, rows);
+    for (int i = 0; i < 200; ++i) {
+        space.mutate(rows, rng);
+        EXPECT_EQ(rows.keepMask, 0u);
+        EXPECT_EQ(rows.axisYMask, 0u);
+    }
 }
 
 } // namespace

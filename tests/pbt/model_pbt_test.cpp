@@ -29,51 +29,6 @@ using namespace ruby;
 using pbt::ChainCase;
 using pbt::WorkloadCase;
 
-/** Full component tables of @p mapping, borrowable by a delta call. */
-struct ComponentTables
-{
-    std::vector<std::vector<std::uint64_t>> steady;
-    std::vector<std::vector<DimId>> perms;
-    std::vector<std::vector<char>> keep;
-    std::vector<std::vector<SpatialAxis>> axes;
-
-    explicit ComponentTables(const Mapping &mapping)
-    {
-        const int dims = mapping.problem().numDims();
-        const int tensors = mapping.problem().numTensors();
-        const int levels = mapping.arch().numLevels();
-        const int slots = mapping.numSlots();
-        steady.resize(static_cast<std::size_t>(dims));
-        for (int d = 0; d < dims; ++d) {
-            steady[d].resize(static_cast<std::size_t>(slots));
-            for (int k = 0; k < slots; ++k)
-                steady[d][k] = mapping.factor(d, k).steady;
-        }
-        perms.resize(static_cast<std::size_t>(levels));
-        keep.resize(static_cast<std::size_t>(levels));
-        axes.resize(static_cast<std::size_t>(levels));
-        for (int l = 0; l < levels; ++l) {
-            perms[l] = mapping.permutation(l);
-            keep[l].resize(static_cast<std::size_t>(tensors));
-            for (int t = 0; t < tensors; ++t)
-                keep[l][t] = mapping.keeps(l, t) ? 1 : 0;
-            axes[l].resize(static_cast<std::size_t>(dims));
-            for (int d = 0; d < dims; ++d)
-                axes[l][d] = mapping.spatialAxis(l, d);
-        }
-    }
-
-    MappingComponents view() const
-    {
-        MappingComponents comp;
-        comp.steady = &steady;
-        comp.perms = &perms;
-        comp.keep = &keep;
-        comp.axes = &axes;
-        return comp;
-    }
-};
-
 /**
  * Property 1 — delta evaluation is exact: for any workload and any
  * candidate stream, DeltaEvaluator::evaluateCandidate() produces the
@@ -97,9 +52,8 @@ deltaMatchesFull(const WorkloadCase &c)
 
     for (int i = 0; i < 24; ++i) {
         const Mapping candidate = space.sample(rng);
-        const ComponentTables tables(candidate);
         const EvalResult &incr =
-            delta.evaluateCandidate(tables.view(), stats);
+            delta.evaluateCandidate(candidate.decisions(), stats);
         const EvalResult full = eval.evaluate(candidate);
 
         if (incr.valid != full.valid) {
