@@ -23,6 +23,12 @@ ArchSpec::ArchSpec(std::string name, std::vector<StorageLevelSpec> levels,
                    "level ", lvl.name, ": fanout must be >= 1");
         RUBY_CHECK(lvl.bandwidthWordsPerCycle >= 0,
                    "level ", lvl.name, ": bandwidth must be >= 0");
+        // The objective bound's energy floor assumes every access
+        // costs >= 0; a negative energy would let pruning change the
+        // best mapping.
+        RUBY_CHECK(lvl.readEnergy >= 0 && lvl.writeEnergy >= 0,
+                   "level ", lvl.name,
+                   ": access energies must be non-negative");
     }
 }
 

@@ -411,7 +411,6 @@ BatchEvaluator::run(Objective obj, EvalStats &stats, bool withBound)
         // path would have, re-deriving the tails from the steady
         // lanes (the mixed-radix digits of D-1 — FactorChain::assign's
         // forward pass): the divisions are spent on survivors only.
-        const double floor = eval_->compulsoryEnergyFloor();
         for (std::size_t i = 0; i < k; ++i) {
             if (!valid_[i])
                 continue;
@@ -438,17 +437,7 @@ BatchEvaluator::run(Objective obj, EvalStats &stats, bool withBound)
                 }
                 cycles *= static_cast<double>(tl);
             }
-            switch (obj) {
-              case Objective::EDP:
-                bound_[i] = floor * cycles;
-                break;
-              case Objective::Energy:
-                bound_[i] = floor;
-                break;
-              case Objective::Delay:
-                bound_[i] = cycles;
-                break;
-            }
+            bound_[i] = eval_->boundFromCycles(cycles, obj);
         }
     }
 

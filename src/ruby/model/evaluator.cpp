@@ -1,5 +1,8 @@
 #include "ruby/model/evaluator.hpp"
 
+#include <algorithm>
+#include <cmath>
+
 #include "ruby/arch/energy_model.hpp"
 #include "ruby/common/error.hpp"
 
@@ -25,15 +28,17 @@ Evaluator::Evaluator(const Problem &problem, const ArchSpec &arch,
                      ModelOptions opts)
     : problem_(&problem), arch_(&arch), opts_(opts)
 {
-    // Energy floor shared by every mapping: each MAC executes once,
-    // and each tensor crosses the boundary below the backing store at
-    // least once (operands read, the output written). The per-tensor
+    // Energy floor shared by every mapping, one term per place the
+    // model charges it: each MAC executes once (macEnergy), each
+    // tensor crosses the boundary below the backing store at least
+    // once (operands read, the output written; level nl-1), and each
+    // MAC reads its operands from level 0 (below). The per-tensor
     // word floor treats every axis coefficient as 1 — for strided or
     // dilated projections the model's average-tile traffic can dip
     // below tensorSize(), but never below prod_axes(1 + sum(D - 1)),
     // which is the minimum of (mean tile volume x tile count) over
-    // all tilings. Level energies are non-negative, so omitting every
-    // other term keeps the bound sound.
+    // all tilings. ArchSpec rejects negative access energies, so
+    // omitting every other term keeps the bound sound.
     compulsoryEnergy_ =
         static_cast<double>(problem.totalOperations()) *
         arch.macEnergy();
@@ -54,6 +59,50 @@ Evaluator::Evaluator(const Problem &problem, const ArchSpec &arch,
                                               : outer.readEnergy);
         }
     }
+
+    // Datapath floor at level 0. The model charges level 0 with
+    // ops / sharing_t reads of every tensor t (and as many writes of
+    // the output), where sharing_t is the product of the average
+    // bounds of the slot-0 spatial loops whose dimension does not
+    // index t. Each average bound lies in [1, steady], and a valid
+    // mapping's slot-0 steady bounds multiply to at most
+    // F = fanoutX(0) * fanoutY(0). So every sharing_t <= F, and with
+    // c the most tensors any one dimension is irrelevant to,
+    // prod_t sharing_t <= F^c. With w_t the level-0 energy of one
+    // datapath access of t (read, plus write for the output) and T
+    // tensors, the model's datapath energy sum_t ops * w_t / sharing_t
+    // is at least ops * sum_t w_t / F, and by AM-GM at least
+    // ops * T * (prod_t w_t)^(1/T) / F^(c/T). Both are mapping- and
+    // option-independent; the larger one is added (the AM-GM form
+    // only when every w_t > 0), scaled by 1 - 1e-9 so log/exp
+    // rounding can never lift the bound above a modeled objective.
+    const auto &inner = arch.level(0);
+    const int nt = problem.numTensors();
+    int c = 0;
+    for (DimId d = 0; d < problem.numDims(); ++d) {
+        int irrelevant = 0;
+        for (int t = 0; t < nt; ++t)
+            irrelevant += problem.relevant(t, d) ? 0 : 1;
+        c = std::max(c, irrelevant);
+    }
+    const double fanout = static_cast<double>(inner.fanout());
+    double sum = 0.0, logSum = 0.0;
+    bool positive = true;
+    for (int t = 0; t < nt; ++t) {
+        const double w =
+            inner.readEnergy +
+            (t == problem.outputTensor() ? inner.writeEnergy : 0.0);
+        sum += w;
+        positive = positive && w > 0;
+        logSum += positive ? std::log(w) : 0.0;
+    }
+    double perOp = sum / fanout;
+    if (positive)
+        perOp = std::max(perOp,
+                         nt * std::exp((logSum - c * std::log(fanout)) /
+                                       nt));
+    compulsoryEnergy_ += static_cast<double>(problem.totalOperations()) *
+                         perOp * (1.0 - 1e-9);
 }
 
 EvalResult
@@ -110,17 +159,7 @@ Evaluator::objectiveLowerBound(const Mapping &mapping,
     double cycles = 1.0;
     for (DimId d = 0; d < problem_->numDims(); ++d)
         cycles *= static_cast<double>(serialSteps(mapping.chain(d)));
-
-    switch (obj) {
-      case Objective::EDP:
-        return compulsoryEnergy_ * cycles;
-      case Objective::Energy:
-        return compulsoryEnergy_;
-      case Objective::Delay:
-        return cycles;
-    }
-    RUBY_ASSERT(false, "unknown objective");
-    return 0.0;
+    return boundFromCycles(cycles, obj);
 }
 
 double
@@ -133,17 +172,7 @@ Evaluator::objectiveLowerBound(const std::vector<double> &stepsFloor,
     double cycles = 1.0;
     for (DimId d = 0; d < problem_->numDims(); ++d)
         cycles *= stepsFloor[d];
-
-    switch (obj) {
-      case Objective::EDP:
-        return compulsoryEnergy_ * cycles;
-      case Objective::Energy:
-        return compulsoryEnergy_;
-      case Objective::Delay:
-        return cycles;
-    }
-    RUBY_ASSERT(false, "unknown objective");
-    return 0.0;
+    return boundFromCycles(cycles, obj);
 }
 
 StagedEval

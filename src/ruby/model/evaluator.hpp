@@ -9,10 +9,13 @@
  *   1. checkValidity()      — spatial-fit + tile + capacity checks;
  *                             no cost model is run.
  *   2. objectiveLowerBound()— a cheap, provably-sound lower bound on
- *                             the objective (ideal compute latency x
- *                             compulsory-access energy). Mappings
- *                             whose bound cannot beat the incumbent
- *                             are pruned before the full model runs.
+ *                             the objective (exact serial compute
+ *                             steps x a mapping-independent energy
+ *                             floor: MACs, one backing-store pass per
+ *                             tensor and the level-0 datapath reads).
+ *                             Mappings whose bound cannot beat the
+ *                             incumbent are pruned before the full
+ *                             model runs.
  *   3. the full model       — evaluate(mapping, scratch), writing
  *                             into scratch.result with zero heap
  *                             allocations in steady state.
@@ -29,6 +32,7 @@
 #include <vector>
 
 #include "ruby/arch/arch_spec.hpp"
+#include "ruby/common/error.hpp"
 #include "ruby/common/incumbent.hpp"
 #include "ruby/mapping/mapping.hpp"
 #include "ruby/mapping/nest.hpp"
@@ -224,9 +228,9 @@ class Evaluator
      * Stage 2: a sound lower bound on the mapping's objective,
      * computable without the full model. Combines the exact serial
      * compute-cycle count (actual cycles can only be larger) with the
-     * compulsory energy floor: datapath MACs plus one traversal of
-     * every tensor through the backing store. For every valid mapping
-     * m: objectiveLowerBound(m, obj) <= evaluate(m).objective(obj).
+     * compulsory energy floor (compulsoryEnergyFloor()). For every
+     * valid mapping m:
+     * objectiveLowerBound(m, obj) <= evaluate(m).objective(obj).
      */
     double objectiveLowerBound(const Mapping &mapping,
                                Objective obj) const;
@@ -244,12 +248,35 @@ class Evaluator
                                Objective obj) const;
 
     /**
-     * The mapping-independent compulsory energy floor used by
-     * objectiveLowerBound(): datapath MACs plus one traversal of every
-     * tensor through the backing store. Exposed so batched evaluation
-     * can reproduce the bound arithmetic bit-exactly.
+     * The mapping- and option-independent energy floor used by
+     * objectiveLowerBound(). Three terms, each at most the energy the
+     * model charges to one place: every MAC (macEnergy), one traversal
+     * of every tensor through the backing store (level nl-1, if not
+     * 0), and the level-0 operand reads and output read-modify-writes
+     * of every MAC, shared at most fanout(0)-fold by slot-0 spatial
+     * loops (level 0; derivation in the constructor).
      */
     double compulsoryEnergyFloor() const { return compulsoryEnergy_; }
+
+    /**
+     * The bound of a serial-cycle floor under @p obj: the one
+     * (cycles, objective) -> bound formula shared by both
+     * objectiveLowerBound() overloads and the batched lane bound, so
+     * all three agree bit for bit.
+     */
+    double boundFromCycles(double cycles, Objective obj) const
+    {
+        switch (obj) {
+          case Objective::EDP:
+            return compulsoryEnergy_ * cycles;
+          case Objective::Energy:
+            return compulsoryEnergy_;
+          case Objective::Delay:
+            return cycles;
+        }
+        RUBY_ASSERT(false, "unknown objective");
+        return 0.0;
+    }
 
     /**
      * Run the staged fast path: validity, then (optionally) the
@@ -312,7 +339,7 @@ class Evaluator
     const Problem *problem_;
     const ArchSpec *arch_;
     ModelOptions opts_;
-    /** Compulsory energy floor: MACs + one backing-store traversal. */
+    /** Energy floor: MACs, backing-store pass, level-0 datapath. */
     double compulsoryEnergy_ = 0.0;
 };
 

@@ -107,6 +107,14 @@ TEST(ArchSpec, RejectsBadSpecs)
     dram.name = "DRAM";
     dram.fanoutX = 0;
     EXPECT_THROW(ArchSpec("bad", {dram}, 1.0, 1.0), Error);
+
+    // Negative access energy: the objective bound assumes none.
+    dram.fanoutX = 1;
+    dram.readEnergy = -1.0;
+    EXPECT_THROW(ArchSpec("bad", {dram}, 1.0, 1.0), Error);
+    dram.readEnergy = 0.0;
+    dram.writeEnergy = -1.0;
+    EXPECT_THROW(ArchSpec("bad", {dram}, 1.0, 1.0), Error);
 }
 
 TEST(ArchSpec, DramExcludedFromArea)

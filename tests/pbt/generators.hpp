@@ -3,7 +3,7 @@
  * Seeded case generators for the property-based tests.
  *
  * The schema is deliberately small — one- to seven-dimensional
- * workloads, two- or three-level architectures, a handful of PEs —
+ * workloads, one- to three-level architectures, a handful of PEs —
  * so cross-feature interactions (ragged chains x bypass x spatial
  * axes x admission) show up within tens of cases rather than
  * thousands. Cases are plain data: a case describes *how to build*
@@ -22,6 +22,8 @@
 #include <string>
 #include <vector>
 
+#include "ruby/arch/area_model.hpp"
+#include "ruby/arch/energy_model.hpp"
 #include "ruby/arch/presets.hpp"
 #include "ruby/common/math_util.hpp"
 #include "ruby/common/rng.hpp"
@@ -48,6 +50,8 @@ enum class WorkloadKind
     Vector1D,
     Gemm,
     Conv,
+    /** Z[i] += X[i] * Y[j]: j indexes one of three tensors. */
+    Broadcast,
 };
 
 /** How a case's ArchSpec is built. */
@@ -56,7 +60,58 @@ enum class ArchKind
     ToyLinear,
     ToyGlb,
     SmallEyeriss,
+    /**
+     * 1-3 levels whose innermost one feeds an X x Y MAC array and
+     * may read for free: the shapes the level-0 datapath floor of
+     * Evaluator::compulsoryEnergyFloor() divides by and skips on.
+     */
+    ToyArray,
 };
+
+/**
+ * The ToyArray preset: a register file feeding an @p x x @p y MAC
+ * array, then (for @p levels >= 3) a @p pes-wide GLB of @p glb_words,
+ * then DRAM. @p levels == 1 leaves only DRAM, feeding the array
+ * directly. The register file's read energy is 0 when @p free_reads.
+ */
+inline ArchSpec
+makeToyArray(int levels, std::uint64_t x, std::uint64_t y,
+             std::uint64_t pes, std::uint64_t glb_words, bool free_reads)
+{
+    StorageLevelSpec dram;
+    dram.name = "DRAM";
+    dram.readEnergy = EnergyModel::dramAccess();
+    dram.writeEnergy = EnergyModel::dramAccess();
+    if (levels == 1) {
+        dram.fanoutX = x;
+        dram.fanoutY = y;
+        return ArchSpec("toy-array-1l", {dram}, EnergyModel::macOp(),
+                        AreaModel::mac());
+    }
+    StorageLevelSpec reg;
+    reg.name = "PEreg";
+    reg.capacityWords = 8;
+    reg.fanoutX = x;
+    reg.fanoutY = y;
+    reg.readEnergy = free_reads ? 0.0 : EnergyModel::registerAccess();
+    reg.writeEnergy = EnergyModel::registerAccess();
+    std::vector<StorageLevelSpec> lv{reg};
+    if (levels >= 3) {
+        StorageLevelSpec glb;
+        glb.name = "GLB";
+        glb.capacityWords = glb_words;
+        glb.fanoutX = pes;
+        glb.readEnergy = EnergyModel::sramAccess(glb_words);
+        glb.writeEnergy = glb.readEnergy;
+        lv.push_back(glb);
+    } else {
+        dram.fanoutX = pes;
+    }
+    lv.push_back(dram);
+    return ArchSpec("toy-array-" + std::to_string(levels) + "l",
+                    std::move(lv), EnergyModel::macOp(),
+                    AreaModel::mac());
+}
 
 /**
  * A complete generated scenario. problem() and arch() build fresh
@@ -69,11 +124,14 @@ struct WorkloadCase
     std::uint64_t d = 8;                ///< Vector1D size
     std::uint64_t m = 4, n = 4, k = 4;  ///< Gemm sizes
     ConvShape conv;                     ///< Conv shape
+    std::uint64_t bi = 4, bj = 4;       ///< Broadcast sizes
 
     ArchKind archKind = ArchKind::ToyLinear;
     std::uint64_t pes = 4;      ///< toy-arch PE count
     std::uint64_t glbWords = 256;
-    std::uint64_t arrayX = 3, arrayY = 2; ///< small-Eyeriss grid
+    std::uint64_t arrayX = 3, arrayY = 2; ///< Eyeriss grid / MAC array
+    int levels = 3;          ///< toy-array level count
+    bool freeReads = false;  ///< toy-array level-0 reads cost 0
 
     MapspaceVariant variant = MapspaceVariant::Ruby;
     std::uint64_t sampleSeed = 1; ///< stream for mapping samples
@@ -87,6 +145,12 @@ struct WorkloadCase
             return makeGemm(m, n, k);
           case WorkloadKind::Conv:
             return makeConv(conv);
+          case WorkloadKind::Broadcast:
+            return Problem(
+                "broadcast", {"I", "J"}, {bi, bj},
+                {TensorSpec{"X", {TensorAxis{{{0, 1}}}}, false},
+                 TensorSpec{"Y", {TensorAxis{{{1, 1}}}}, false},
+                 TensorSpec{"Z", {TensorAxis{{{0, 1}}}}, true}});
         }
         return makeVector1D(d);
     }
@@ -100,6 +164,9 @@ struct WorkloadCase
             return makeToyGlb(pes, glbWords);
           case ArchKind::SmallEyeriss:
             return makeEyeriss(arrayX, arrayY, 8);
+          case ArchKind::ToyArray:
+            return makeToyArray(levels, arrayX, arrayY, pes, glbWords,
+                                freeReads);
         }
         return makeToyLinear(pes);
     }
@@ -119,6 +186,9 @@ struct WorkloadCase
                << " p=" << conv.p << " q=" << conv.q
                << " r=" << conv.r << " s=" << conv.s;
             break;
+          case WorkloadKind::Broadcast:
+            os << "broadcast " << bi << "x" << bj;
+            break;
         }
         switch (archKind) {
           case ArchKind::ToyLinear:
@@ -130,6 +200,12 @@ struct WorkloadCase
             break;
           case ArchKind::SmallEyeriss:
             os << " | eyeriss " << arrayX << "x" << arrayY;
+            break;
+          case ArchKind::ToyArray:
+            os << " | toy-array levels=" << levels << " array="
+               << arrayX << "x" << arrayY << " pes=" << pes
+               << " glbWords=" << glbWords
+               << (freeReads ? " free-reads" : "");
             break;
         }
         os << " | " << variantName(variant)
@@ -176,7 +252,7 @@ inline WorkloadCase
 genWorkload(Rng &rng)
 {
     WorkloadCase c;
-    switch (rng.below(3)) {
+    switch (rng.below(4)) {
       case 0:
         c.kind = WorkloadKind::Vector1D;
         c.d = rng.between(1, 200);
@@ -187,13 +263,17 @@ genWorkload(Rng &rng)
         c.n = rng.between(1, 12);
         c.k = rng.between(1, 12);
         break;
-      default:
+      case 2:
         c.kind = WorkloadKind::Conv;
         c.conv = genConvShape(rng);
         break;
+      default:
+        c.kind = WorkloadKind::Broadcast;
+        c.bi = rng.between(1, 24);
+        c.bj = rng.between(1, 24);
+        break;
     }
-    const int archChoices = c.kind == WorkloadKind::Conv ? 3 : 2;
-    switch (rng.below(static_cast<std::uint64_t>(archChoices))) {
+    switch (rng.below(4)) {
       case 0:
         c.archKind = ArchKind::ToyLinear;
         c.pes = rng.between(2, 12);
@@ -203,10 +283,22 @@ genWorkload(Rng &rng)
         c.pes = rng.between(2, 12);
         c.glbWords = 128ull << rng.below(3); // 128/256/512
         break;
+      case 2:
+        if (c.kind == WorkloadKind::Conv) {
+            c.archKind = ArchKind::SmallEyeriss;
+            c.arrayX = rng.between(2, 4);
+            c.arrayY = rng.between(2, 3);
+            break;
+        }
+        [[fallthrough]];
       default:
-        c.archKind = ArchKind::SmallEyeriss;
-        c.arrayX = rng.between(2, 4);
-        c.arrayY = rng.between(2, 3);
+        c.archKind = ArchKind::ToyArray;
+        c.levels = static_cast<int>(rng.between(1, 3));
+        c.arrayX = rng.between(1, 4);
+        c.arrayY = rng.between(1, 3);
+        c.pes = rng.between(2, 6);
+        c.glbWords = 128ull << rng.below(3);
+        c.freeReads = rng.below(2) == 0;
         break;
     }
     c.variant = genVariant(rng);
@@ -302,6 +394,10 @@ shrinkWorkload(const WorkloadCase &c)
         shrinkConv(&ConvShape::s);
         break;
       }
+      case WorkloadKind::Broadcast:
+        shrunkTo(&WorkloadCase::bi, 1);
+        shrunkTo(&WorkloadCase::bj, 1);
+        break;
     }
     if (c.archKind != ArchKind::SmallEyeriss)
         shrunkTo(&WorkloadCase::pes, 2);

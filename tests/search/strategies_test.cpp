@@ -219,7 +219,9 @@ fingerprint(const SearchResult &res)
  * multi-start local runs are repeated at more threads and must print
  * the same line. The mutation and crossover operators' RNG draws are
  * part of every one of these answers, so a rewrite of the operators
- * or of the decision encoding they edit must keep them.
+ * or of the decision encoding they edit must keep them. Random
+ * search's mod= counts the survivors of the bound prune, so a tighter
+ * admissible bound may lower that one field and nothing else.
  */
 TEST(StrategyGolden, IterativeSearchesArePinned)
 {
@@ -274,19 +276,19 @@ TEST(StrategyGolden, IterativeSearchesArePinned)
          " delta=3401/3401/0/635 batch=0/0/0"},
         {"eyeriss random refine=0 incremental=0",
          "best=c3331aeb06a5975b edp=42c06e8f331e79a8"
-         " ev=2000 valid=60 inv=1940 mod=54"
+         " ev=2000 valid=60 inv=1940 mod=52"
          " delta=0/0/0/0 batch=38/60/0"},
         {"eyeriss random refine=0 incremental=1",
          "best=c3331aeb06a5975b edp=42c06e8f331e79a8"
-         " ev=2000 valid=60 inv=1940 mod=54"
+         " ev=2000 valid=60 inv=1940 mod=52"
          " delta=0/0/0/0 batch=38/60/0"},
         {"eyeriss random refine=64 incremental=0",
          "best=c3331aeb06a5975b edp=42c06e8f331e79a8"
-         " ev=2064 valid=108 inv=1956 mod=102"
+         " ev=2064 valid=108 inv=1956 mod=100"
          " delta=0/0/0/0 batch=38/60/0"},
         {"eyeriss random refine=64 incremental=1",
          "best=c3331aeb06a5975b edp=42c06e8f331e79a8"
-         " ev=2064 valid=108 inv=1956 mod=102"
+         " ev=2064 valid=108 inv=1956 mod=100"
          " delta=64/64/0/1 batch=38/60/0"},
         {"simba genetic islands=1 incremental=0 batch=0",
          "best=5f006f8a327c19dd edp=42b233b735cfaf50"
@@ -338,19 +340,19 @@ TEST(StrategyGolden, IterativeSearchesArePinned)
          " delta=3998/3998/0/51 batch=0/0/0"},
         {"simba random refine=0 incremental=0",
          "best=4077f65db90d14c9 edp=42b0b0da089a799b"
-         " ev=2000 valid=853 inv=1147 mod=189"
+         " ev=2000 valid=853 inv=1147 mod=140"
          " delta=0/0/0/0 batch=63/853/0"},
         {"simba random refine=0 incremental=1",
          "best=4077f65db90d14c9 edp=42b0b0da089a799b"
-         " ev=2000 valid=853 inv=1147 mod=189"
+         " ev=2000 valid=853 inv=1147 mod=140"
          " delta=0/0/0/0 batch=63/853/0"},
         {"simba random refine=64 incremental=0",
          "best=78e63cd92dce119f edp=42b0871055664df8"
-         " ev=2064 valid=906 inv=1158 mod=242"
+         " ev=2064 valid=906 inv=1158 mod=193"
          " delta=0/0/0/0 batch=63/853/0"},
         {"simba random refine=64 incremental=1",
          "best=78e63cd92dce119f edp=42b0871055664df8"
-         " ev=2064 valid=906 inv=1158 mod=242"
+         " ev=2064 valid=906 inv=1158 mod=193"
          " delta=64/64/0/1 batch=63/853/0"},
     };
 
