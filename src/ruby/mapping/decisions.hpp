@@ -8,7 +8,9 @@
  *
  * Every row is a flat buffer indexed by a shape/stride tuple, so a
  * Decisions reused across draws keeps its capacity and a draw
- * performs no heap allocation once the rows have grown.
+ * performs no heap allocation once the rows have grown. The four rows
+ * are the whole encoding, with no size limit: the batch evaluator
+ * packs the keep and axis rows into its own mask words at ingest.
  */
 
 #ifndef RUBY_MAPPING_DECISIONS_HPP
@@ -44,11 +46,6 @@ struct Decisions
     /** Mesh axis of dimension d's spatial factor at level l:
      *  [l * nd + d]. */
     std::vector<SpatialAxis> axes;
-    /** keep packed: bit l * nt + t; zero when nl * nt > 64. */
-    std::uint64_t keepMask = 0;
-    /** axes packed: bit l * nd + d is set iff the axis is Y; zero when
-     *  nl * nd > 64. */
-    std::uint64_t axisYMask = 0;
 };
 
 } // namespace ruby

@@ -54,7 +54,7 @@ Mapping::Mapping(const Problem &problem, const ArchSpec &arch,
                        "spatial axes must cover every dimension");
     }
 
-    checkAndPack();
+    checkInvariants();
 }
 
 Mapping::Mapping(const Problem &problem, const ArchSpec &arch,
@@ -94,11 +94,11 @@ Mapping::Mapping(const Problem &problem, const ArchSpec &arch,
         }
     }
 
-    checkAndPack();
+    checkInvariants();
 }
 
 void
-Mapping::checkAndPack()
+Mapping::checkInvariants()
 {
     const int nd = problem_->numDims();
     const int nl = arch_->numLevels();
@@ -124,28 +124,6 @@ Mapping::checkAndPack()
         RUBY_CHECK(keep_.back()[static_cast<std::size_t>(t)],
                    "outermost level must keep every tensor");
     }
-
-    keepMask_ = 0;
-    axisYMask_ = 0;
-    if (nl * nt <= 64)
-        for (int l = 0; l < nl; ++l) {
-            const auto &krow = keep_[static_cast<std::size_t>(l)];
-            for (int t = 0; t < nt; ++t)
-                keepMask_ |=
-                    static_cast<std::uint64_t>(
-                        krow[static_cast<std::size_t>(t)] != 0)
-                    << (l * nt + t);
-        }
-    if (!axes_.empty() && nl * nd <= 64)
-        for (int l = 0; l < nl; ++l) {
-            const auto &arow = axes_[static_cast<std::size_t>(l)];
-            for (DimId d = 0; d < nd; ++d)
-                axisYMask_ |=
-                    static_cast<std::uint64_t>(
-                        arow[static_cast<std::size_t>(d)] ==
-                        SpatialAxis::Y)
-                    << (l * nd + d);
-        }
 }
 
 const FactorChain &
@@ -250,18 +228,6 @@ Mapping::setKeepRow(int level, std::span<const char> keep)
 #endif
     keep_[static_cast<std::size_t>(level)].assign(keep.begin(),
                                                   keep.end());
-    const int nt = problem_->numTensors();
-    if (arch_->numLevels() * nt <= 64) {
-        const int base = level * nt;
-        const std::uint64_t ones =
-            nt >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << nt) - 1;
-        std::uint64_t bits = 0;
-        for (int t = 0; t < nt; ++t)
-            bits |= static_cast<std::uint64_t>(
-                        keep[static_cast<std::size_t>(t)] != 0)
-                    << t;
-        keepMask_ = (keepMask_ & ~(ones << base)) | (bits << base);
-    }
 }
 
 void
@@ -277,19 +243,6 @@ Mapping::setAxisRow(int level, std::span<const SpatialAxis> axes)
                          SpatialAxis::X));
     axes_[static_cast<std::size_t>(level)].assign(axes.begin(),
                                                   axes.end());
-    const int nd = problem_->numDims();
-    if (arch_->numLevels() * nd <= 64) {
-        const int base = level * nd;
-        const std::uint64_t ones =
-            nd >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << nd) - 1;
-        std::uint64_t bits = 0;
-        for (DimId d = 0; d < nd; ++d)
-            bits |= static_cast<std::uint64_t>(
-                        axes[static_cast<std::size_t>(d)] ==
-                        SpatialAxis::Y)
-                    << d;
-        axisYMask_ = (axisYMask_ & ~(ones << base)) | (bits << base);
-    }
 }
 
 Decisions
@@ -313,8 +266,6 @@ Mapping::decisions() const
     else
         for (const auto &row : axes_)
             out.axes.insert(out.axes.end(), row.begin(), row.end());
-    out.keepMask = keepMask_;
-    out.axisYMask = axisYMask_;
     return out;
 }
 

@@ -3,7 +3,9 @@
  * The mapping IR: a complete allocation of a problem onto an
  * architecture — per-dimension factor chains over the slot layout,
  * per-level temporal loop orders, and per-level per-tensor residency
- * (keep/bypass) decisions.
+ * (keep/bypass) decisions. It holds its tables and nothing derived
+ * from them for other engines: the batch evaluator packs what it
+ * reads itself.
  */
 
 #ifndef RUBY_MAPPING_MAPPING_HPP
@@ -99,16 +101,6 @@ class Mapping
     }
 
     /**
-     * The keep table packed into one word: bit l * numTensors + t is
-     * keeps(l, t). Computed at construction and kept current by the
-     * row mutators, so batch ingestion copies one word instead of
-     * re-walking the nested table. Zero (and meaningless) when the
-     * table exceeds 64 bits; the batch engine's supports() gates on
-     * exactly that.
-     */
-    std::uint64_t keepMask() const { return keepMask_; }
-
-    /**
      * Per-dimension steady tile extents at slot boundary @p slot:
      * the iteration-space box covered by slots [0, slot).
      */
@@ -146,14 +138,6 @@ class Mapping
     }
 
     /**
-     * The axis table packed into one word: bit l * numDims + d is set
-     * iff spatialAxis(l, d) == SpatialAxis::Y. Same contract as
-     * keepMask(): construction-time, mutator-maintained, zero when
-     * the table exceeds 64 bits (or when every axis is X).
-     */
-    std::uint64_t axisYMask() const { return axisYMask_; }
-
-    /**
      * Replace dimension @p d's steady bounds in place (same slot
      * count; prod must cover the dimension). Allocation-free.
      */
@@ -178,8 +162,7 @@ class Mapping
     /**
      * The flat decision rows of this mapping, the inverse of the
      * Decisions constructor: keep flags are 0 or 1, the axis rows are
-     * always complete (X where the mapping was built without axes),
-     * and the packed masks are keepMask() and axisYMask().
+     * always complete (X where the mapping was built without axes).
      */
     Decisions decisions() const;
 
@@ -197,11 +180,10 @@ class Mapping
 
   private:
     /**
-     * Check the invariants both constructors share (permutations
-     * cover every dimension, boundary levels keep every tensor), then
-     * pack keepMask_ / axisYMask_ from the nested tables.
+     * Check the invariants both constructors share: permutations
+     * cover every dimension, boundary levels keep every tensor.
      */
-    void checkAndPack();
+    void checkInvariants();
 
     const Problem *problem_;
     const ArchSpec *arch_;
@@ -210,8 +192,6 @@ class Mapping
     std::vector<std::vector<char>> keep_;
     /** axes_[l][d]; empty means all X. */
     std::vector<std::vector<SpatialAxis>> axes_;
-    std::uint64_t keepMask_ = 0;
-    std::uint64_t axisYMask_ = 0;
 };
 
 } // namespace ruby

@@ -82,8 +82,6 @@ leafRows(const Mapspace &space)
                                 space.constraints().bypassForced(l, t);
             rows.keep[static_cast<std::size_t>(l * nt + t)] =
                 bypass ? 0 : 1;
-            if (!bypass && nl * nt <= 64)
-                rows.keepMask |= std::uint64_t{1} << (l * nt + t);
         }
     return rows;
 }

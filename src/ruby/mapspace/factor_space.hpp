@@ -47,8 +47,8 @@ enumerateChains(std::uint64_t dim, const std::vector<SlotRule> &rules,
 
 /**
  * The rows every enumerated leaf of exhaustive and optimal search
- * shares: keep-all residency honouring @p space's forced bypasses
- * (keepMask packed), no mesh axes (all X), and steady and loop-order
+ * shares: keep-all residency honouring @p space's forced bypasses,
+ * no mesh axes (all X), and steady and loop-order
  * rows sized for writeLeaf().
  */
 Decisions leafRows(const Mapspace &space);

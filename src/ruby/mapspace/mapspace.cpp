@@ -26,17 +26,6 @@ pickDivisor(const std::vector<std::uint64_t> &divs, std::uint64_t cap,
     return divs[rng.below(usable)];
 }
 
-/** @p dst with bits [base, base + width) taken from @p src. */
-std::uint64_t
-spliceBits(std::uint64_t dst, std::uint64_t src, std::size_t base,
-           std::size_t width)
-{
-    const std::uint64_t ones =
-        width >= 64 ? ~std::uint64_t{0} : (std::uint64_t{1} << width) - 1;
-    const std::uint64_t field = ones << base;
-    return (dst & ~field) | (src & field);
-}
-
 } // namespace
 
 std::string
@@ -178,17 +167,11 @@ Mapspace::draw(Rng &rng, Decisions &out, bool reject) const
     const int nl = arch_spec.numLevels();
     const int nt = prob.numTensors();
     const int slots = 2 * nl;
-    // The packed masks exist only where they fit one word (the batch
-    // engine's supports() limit), as for Mapping::keepMask().
-    const bool packKeep = nl * nt <= 64;
-    const bool packAxes = static_cast<std::size_t>(nl) * nd <= 64;
 
     out.steady.assign(nd * static_cast<std::size_t>(slots), 1);
     out.axes.assign(static_cast<std::size_t>(nl) * nd, SpatialAxis::X);
     out.perms.resize(static_cast<std::size_t>(nl) * nd);
     out.keep.resize(static_cast<std::size_t>(nl * nt));
-    out.keepMask = 0;
-    out.axisYMask = 0;
     const DivisorTables &divisors = divisorTables();
 
     // Residency first: it decides which tensors each capacity counts.
@@ -204,8 +187,6 @@ Mapspace::draw(Rng &rng, Decisions &out, bool reject) const
                     ? 0
                     : 1;
             out.keep[static_cast<std::size_t>(l * nt + t)] = flag;
-            if (flag != 0 && packKeep)
-                out.keepMask |= std::uint64_t{1} << (l * nt + t);
         }
 
     // Work rows: the tile count left per dimension, the steady extent
@@ -256,8 +237,6 @@ Mapspace::draw(Rng &rng, Decisions &out, bool reject) const
                 else if (cap_y > cap_x)
                     axis = SpatialAxis::Y;
                 out.axes[axis_at] = axis;
-                if (axis == SpatialAxis::Y && packAxes)
-                    out.axisYMask |= std::uint64_t{1} << axis_at;
                 cap = std::max<std::uint64_t>(
                     axis == SpatialAxis::X ? cap_x : cap_y, 1);
             }
@@ -441,8 +420,6 @@ Mapspace::undoMutation(Decisions &decisions,
     const std::size_t nt =
         static_cast<std::size_t>(problem().numTensors());
 
-    // A flipped keep or axis entry flips its packed-mask bit too,
-    // wherever the mask exists.
     switch (undo.kind) {
       case MutationUndo::Kind::None:
         break;
@@ -458,8 +435,6 @@ Mapspace::undoMutation(Decisions &decisions,
       case MutationUndo::Kind::Keep: {
         const std::size_t at = undo.row * nt + undo.i;
         decisions.keep[at] = decisions.keep[at] != 0 ? 0 : 1;
-        if (nl * nt <= 64)
-            decisions.keepMask ^= std::uint64_t{1} << at;
         break;
       }
       case MutationUndo::Kind::Axis: {
@@ -467,8 +442,6 @@ Mapspace::undoMutation(Decisions &decisions,
         decisions.axes[at] = decisions.axes[at] == SpatialAxis::X
                                  ? SpatialAxis::Y
                                  : SpatialAxis::X;
-        if (nl * nd <= 64)
-            decisions.axisYMask ^= std::uint64_t{1} << at;
         break;
       }
     }
@@ -500,18 +473,10 @@ Mapspace::crossover(const Decisions &a, const Decisions &b,
     for (std::size_t l = 0; l < nl; ++l) {
         if (rng.below(2))
             take(child.perms, b.perms, l, nd);
-        if (rng.below(2)) {
+        if (rng.below(2))
             take(child.keep, b.keep, l, nt);
-            if (nl * nt <= 64)
-                child.keepMask =
-                    spliceBits(child.keepMask, b.keepMask, l * nt, nt);
-        }
-        if (rng.below(2)) {
+        if (rng.below(2))
             take(child.axes, b.axes, l, nd);
-            if (nl * nd <= 64)
-                child.axisYMask = spliceBits(child.axisYMask,
-                                             b.axisYMask, l * nd, nd);
-        }
     }
     return child;
 }

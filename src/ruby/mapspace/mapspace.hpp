@@ -48,8 +48,8 @@
  * chain under the sampler's variant rules, slot caps and divisor
  * tables, swaps two loops, or flips a residency bit or a mesh axis
  * where the constraints allow; crossover() mixes two parents row by
- * row. Both keep the packed keepMask/axisYMask current, so an edited
- * draw goes to BatchEvaluator::add() and DeltaEvaluator as it stands.
+ * row. An edited draw goes to BatchEvaluator::add() and
+ * DeltaEvaluator as it stands.
  */
 
 #ifndef RUBY_MAPSPACE_MAPSPACE_HPP

@@ -1,5 +1,7 @@
 #include "ruby/model/batch_eval.hpp"
 
+#include <algorithm>
+
 #include "ruby/common/error.hpp"
 
 /**
@@ -35,6 +37,26 @@ namespace ruby
 
 namespace
 {
+
+/**
+ * Pack @p n 0/1 flags, flag(at) for at in [0, n), into one lane's
+ * mask words: flag at is bit at & 63 of word row at >> 6, and word
+ * rows are @p stride lanes apart. Every word the flags span is
+ * written whole, so a reused lane needs no clearing.
+ */
+template <typename Flag>
+void
+packFlags(std::uint64_t *lane, std::size_t stride, std::size_t n,
+          Flag flag)
+{
+    for (std::size_t base = 0; base < n; base += 64, lane += stride) {
+        const std::size_t width = std::min<std::size_t>(64, n - base);
+        std::uint64_t bits = 0;
+        for (std::size_t b = 0; b < width; ++b)
+            bits |= static_cast<std::uint64_t>(flag(base + b)) << b;
+        *lane = bits;
+    }
+}
 
 /**
  * The four full-width validity stages over raw lane arrays. Lane
@@ -125,16 +147,18 @@ validityStagesBody(std::size_t kRun, std::size_t capRun,
                 any |= p[i] ^ 1;
             if (any == 0)
                 continue;
-            // The axis flag is bit l*nd+d of the lane's mask — a
-            // constant shift-and per row against the full lane row
+            // The axis flag is bit l*nd+d of the lane's mask words —
+            // a constant shift-and per row against the full lane row
             // (and its scattered ingestion stores) it replaces.
-            const int shift =
-                static_cast<int>(abase + static_cast<std::size_t>(d));
+            const std::size_t at = abase + static_cast<std::size_t>(d);
+            const std::uint64_t *__restrict ay =
+                &axisYMask[row(at >> 6)];
+            const int shift = static_cast<int>(at & 63);
             // y is 0/1, p >= 1: with t = (p-1)*y, the select pair
             // "y ? 1 : p" / "y ? p : 1" is (p - t) and (1 + t) —
             // three multiplies instead of four.
             for (std::size_t i = 0; i < k; ++i) {
-                const std::uint64_t y = (axisYMask[i] >> shift) & 1;
+                const std::uint64_t y = (ay[i] >> shift) & 1;
                 const std::uint64_t t = (p[i] - 1) * y;
                 acc[i] *= p[i] - t;
                 acc2[i] *= 1 + t;
@@ -199,8 +223,10 @@ validityStagesBody(std::size_t kRun, std::size_t capRun,
                                       static_cast<std::size_t>(nt) +
                                   static_cast<std::size_t>(t);
             const std::uint64_t *__restrict tl = &tile[row(r)];
-            // The keep flag is bit l*nt+t of the lane's mask.
-            const int shift = static_cast<int>(r);
+            // The keep flag is bit l*nt+t of the lane's mask words.
+            const std::uint64_t *__restrict kp =
+                &keepMask[row(r >> 6)];
+            const int shift = static_cast<int>(r & 63);
             const std::uint64_t partition =
                 lvl.perTensorCapacity.empty()
                     ? 0
@@ -208,8 +234,7 @@ validityStagesBody(std::size_t kRun, std::size_t capRun,
                           t)];
             if (partition > 0) {
                 for (std::size_t i = 0; i < k; ++i) {
-                    const std::uint64_t kept =
-                        (keepMask[i] >> shift) & 1;
+                    const std::uint64_t kept = (kp[i] >> shift) & 1;
                     valid[i] &=
                         (kept ^ 1) |
                         static_cast<std::uint64_t>(tl[i] <=
@@ -218,7 +243,7 @@ validityStagesBody(std::size_t kRun, std::size_t capRun,
             } else {
                 // kept is 0/1: the select "kept ? tile : 0" as a mul.
                 for (std::size_t i = 0; i < k; ++i)
-                    acc[i] += ((keepMask[i] >> shift) & 1) * tl[i];
+                    acc[i] += ((kp[i] >> shift) & 1) * tl[i];
             }
         }
         if (lvl.capacityWords > 0) {
@@ -277,11 +302,10 @@ runValidityStagesAnyWidth(std::size_t k, std::size_t cap,
 BatchEvaluator::BatchEvaluator(const Evaluator &evaluator)
     : eval_(&evaluator), prob_(&evaluator.problem()),
       arch_(&evaluator.arch()), nd_(prob_->numDims()),
-      nl_(arch_->numLevels()), nt_(prob_->numTensors()), ns_(2 * nl_)
+      nl_(arch_->numLevels()), nt_(prob_->numTensors()), ns_(2 * nl_),
+      keepWords_((static_cast<std::size_t>(nl_ * nt_) + 63) / 64),
+      axisWords_((static_cast<std::size_t>(nl_ * nd_) + 63) / 64)
 {
-    RUBY_CHECK(supports(*prob_, *arch_),
-               "batch evaluation needs the keep/axis tables to fit "
-               "one 64-bit mask lane; use the scalar path");
     // The scalar capacity walk validates this per evaluation; the
     // batch form hoists the configuration check out of the lane loops.
     for (int l = 0; l < nl_ - 1; ++l) {
@@ -305,8 +329,8 @@ BatchEvaluator::reserveLanes(std::size_t cap)
     steady_.resize(nd * ns * cap);
     ext_.resize(nl * nd * cap);
     tile_.resize(nl * nt * cap);
-    keepMask_.resize(cap);
-    axisYMask_.resize(cap);
+    keepMask_.resize(keepWords_ * cap);
+    axisYMask_.resize(axisWords_ * cap);
     acc_.resize(cap);
     acc2_.resize(cap);
     valid_.resize(cap);
@@ -350,11 +374,19 @@ BatchEvaluator::add(const Mapping &mapping)
             steady_[row(base + static_cast<std::size_t>(s)) + i] =
                 pairs[static_cast<std::size_t>(s)].steady;
     }
-    // The boolean tables ride in one packed word each, maintained by
-    // the mapping itself: ingestion copies two words instead of
-    // re-walking nl*(nt+nd) nested-table entries.
-    keepMask_[i] = mapping.keepMask();
-    axisYMask_[i] = mapping.axisYMask();
+    const std::size_t nd = static_cast<std::size_t>(nd_);
+    const std::size_t nt = static_cast<std::size_t>(nt_);
+    const std::vector<std::vector<char>> &keep = mapping.keepTable();
+    packFlags(&keepMask_[i], cap_, static_cast<std::size_t>(nl_) * nt,
+              [&](std::size_t at) { return keep[at / nt][at % nt] != 0; });
+    // An empty axis table means every axis is X.
+    const std::vector<std::vector<SpatialAxis>> &axes =
+        mapping.axisTable();
+    packFlags(&axisYMask_[i], cap_, static_cast<std::size_t>(nl_) * nd,
+              [&](std::size_t at) {
+                  return !axes.empty() &&
+                         axes[at / nd][at % nd] == SpatialAxis::Y;
+              });
 }
 
 void
@@ -366,12 +398,25 @@ BatchEvaluator::add(const Decisions &decisions)
                              static_cast<std::size_t>(ns_);
     RUBY_ASSERT(decisions.steady.size() == rows,
                 "batched decisions need one chain per dimension");
+    RUBY_ASSERT(decisions.keep.size() ==
+                    static_cast<std::size_t>(nl_ * nt_),
+                "batched decisions need one keep flag per level and "
+                "tensor");
     const std::size_t i = k_++;
     // The flat index d * ns + s is the lane row index.
     for (std::size_t r = 0; r < rows; ++r)
         steady_[row(r) + i] = decisions.steady[r];
-    keepMask_[i] = decisions.keepMask;
-    axisYMask_[i] = decisions.axisYMask;
+    packFlags(&keepMask_[i], cap_, decisions.keep.size(),
+              [&](std::size_t at) { return decisions.keep[at] != 0; });
+    // Empty axis rows (leafRows()) mean every axis is X.
+    const std::size_t axes = static_cast<std::size_t>(nl_ * nd_);
+    if (decisions.axes.empty())
+        packFlags(&axisYMask_[i], cap_, axes,
+                  [](std::size_t) { return false; });
+    else
+        packFlags(&axisYMask_[i], cap_, axes, [&](std::size_t at) {
+            return decisions.axes[at] == SpatialAxis::Y;
+        });
 }
 
 void
@@ -477,8 +522,8 @@ void
 BatchEvaluator::crossCheck(Objective obj, bool withBound) const
 {
     // Every lane as decision rows: its steady bounds, the keep and
-    // axis rows unpacked from its masks, and identity loop orders (a
-    // lane carries none).
+    // axis rows unpacked from its mask words, and identity loop
+    // orders (a lane carries none).
     const std::size_t rows = static_cast<std::size_t>(nd_) *
                              static_cast<std::size_t>(ns_);
     Decisions lane;
@@ -495,12 +540,13 @@ BatchEvaluator::crossCheck(Objective obj, bool withBound) const
         for (std::size_t r = 0; r < rows; ++r)
             lane.steady[r] = steady_[row(r) + i];
         for (std::size_t at = 0; at < lane.keep.size(); ++at)
-            lane.keep[at] =
-                static_cast<char>((keepMask_[i] >> at) & 1);
+            lane.keep[at] = static_cast<char>(
+                (keepMask_[row(at >> 6) + i] >> (at & 63)) & 1);
         for (std::size_t at = 0; at < lane.axes.size(); ++at)
-            lane.axes[at] = ((axisYMask_[i] >> at) & 1) != 0
-                                ? SpatialAxis::Y
-                                : SpatialAxis::X;
+            lane.axes[at] =
+                ((axisYMask_[row(at >> 6) + i] >> (at & 63)) & 1) != 0
+                    ? SpatialAxis::Y
+                    : SpatialAxis::X;
         const Mapping mapping(*prob_, *arch_, lane);
         const bool scalar_valid =
             eval_->checkValidity(mapping, scratch, false);

@@ -19,6 +19,13 @@
  * derivation included) runs only over the survivors. A Mapping is
  * built only for the candidates that survive.
  *
+ * The engine owns its layout: it packs each candidate's keep and
+ * axis rows into its own mask words at ingest, as many as the tables
+ * need, so it takes every problem and architecture and is the one
+ * scoring path of every search that scores candidates in bulk
+ * (random, genetic, exhaustive, optimal). No other encoding carries
+ * the packed masks.
+ *
  * The engine is an *exact* reformulation, not an approximation: every
  * per-lane recurrence is the same integer/double arithmetic, in the
  * same order, as the scalar walk it replaces, so valid(), bound() and
@@ -28,7 +35,7 @@
  * scalar path (same discipline as DeltaEvaluator). Searches consume
  * the batch results strictly in candidate order against their live
  * incumbent, which keeps best mappings, trajectories and stage
- * counters identical with batching on or off at any batch size.
+ * counters independent of the batch size.
  *
  * Ownership mirrors EvalScratch: one BatchEvaluator per search thread,
  * never shared. The underlying Evaluator stays immutable and shared.
@@ -54,40 +61,37 @@ class BatchEvaluator
 {
   public:
     /** Bind to the scalar evaluator whose results must be matched.
-     *  Requires supports(problem, arch). */
+     *  Any problem and architecture: the mask words grow with the
+     *  keep and axis tables. */
     explicit BatchEvaluator(const Evaluator &evaluator);
 
     /**
-     * Whether the batch engine can lay this configuration out in
-     * lanes: the boolean keep/axis tables ride in one 64-bit mask
-     * lane per candidate, so levels x tensors and levels x dims must
-     * each fit in 64 bits. Every practical accelerator does; searches
-     * fall back to the scalar path when this says no.
+     * Always true: the engine lays out every configuration. Kept only
+     * for perfbench's probes, which still ask; delete it at the next
+     * benchmark change.
      */
-    static bool supports(const Problem &prob, const ArchSpec &arch)
+    static bool supports(const Problem &, const ArchSpec &)
     {
-        return arch.numLevels() * prob.numDims() <= 64 &&
-               arch.numLevels() * prob.numTensors() <= 64;
+        return true;
     }
 
     /** Start a new batch; @p expected reserves lanes (grow-only). */
     void begin(std::size_t expected = kDefaultEvalBatch);
 
     /**
-     * Ingest one candidate from a constructed Mapping (benches and
-     * rescoring tools that hold mappings). Only the validity inputs
-     * (steady bounds and the packed keep/axis masks) are copied into
-     * lanes; nothing is borrowed.
+     * Ingest one candidate from a constructed Mapping (perfbench's
+     * probes, which hold mappings). Only the validity inputs are
+     * copied into lanes — the steady bounds, and the keep and axis
+     * tables packed into mask words; nothing is borrowed.
      */
     void add(const Mapping &mapping);
 
     /**
      * Ingest one candidate from flat decision rows: the steady row is
-     * copied lane-wise as it stands and the two packed masks are
-     * copied as words (they must match the rows, as every Mapspace
-     * draw and edit keeps them). Every search feeds its candidates
-     * this way and materializes a Mapping only for the ones that
-     * survive the batch stages.
+     * copied lane-wise as it stands and the keep and axis rows are
+     * packed into the lane's mask words (empty axis rows mean all X).
+     * Every search feeds its candidates this way and materializes a
+     * Mapping only for the ones that survive the batch stages.
      */
     void add(const Decisions &decisions);
 
@@ -152,6 +156,8 @@ class BatchEvaluator
     int nl_ = 0; ///< storage levels
     int nt_ = 0; ///< tensors
     int ns_ = 0; ///< tiling slots (2 * nl_)
+    std::size_t keepWords_ = 0; ///< mask words per lane: nl_ * nt_ bits
+    std::size_t axisWords_ = 0; ///< mask words per lane: nl_ * nd_ bits
 
     std::size_t k_ = 0;   ///< candidates in the current batch
     std::size_t cap_ = 0; ///< lane capacity (grow-only)
@@ -159,17 +165,20 @@ class BatchEvaluator
     // SoA lane arrays, all indexed [row * cap_ + lane]. Kept lean on
     // purpose: ingestion's per-candidate scatter touches one cache
     // line per row, so every row avoided is an L1 line the stage
-    // loops keep. The boolean tables (keep, spatial axis) ride in a
-    // single bitmask lane each — bit l*nt+t / l*nd+d — and the
-    // kernel unpacks them with a constant shift-and-mask, which costs
-    // two vector ops against the ~40 scattered stores full-width
-    // rows would.
+    // loops keep. The boolean tables (keep, spatial axis) ride in
+    // bitmask rows — flag r is bit r & 63 of word row r >> 6, one
+    // word row for every practical accelerator — and the kernel
+    // unpacks them with a constant shift-and-mask, which costs two
+    // vector ops against the ~40 scattered stores full-width rows
+    // would.
     std::vector<std::uint64_t> steady_;   ///< row d * ns_ + slot
     std::vector<std::uint64_t> ext_;      ///< row l * nd_ + d: extent
                                           ///< below boundarySlot(l)
     std::vector<std::uint64_t> tile_;     ///< row l * nt_ + t
-    std::vector<std::uint64_t> keepMask_; ///< one row: bit l*nt_+t
-    std::vector<std::uint64_t> axisYMask_; ///< one row: bit l*nd_+d
+    std::vector<std::uint64_t> keepMask_; ///< keepWords_ rows:
+                                          ///< flag l*nt_+t
+    std::vector<std::uint64_t> axisYMask_; ///< axisWords_ rows:
+                                           ///< flag l*nd_+d is Y
     std::vector<std::uint64_t> acc_;    ///< one row: lane accumulator
     std::vector<std::uint64_t> acc2_;   ///< one row: lane accumulator
     std::vector<std::uint64_t> valid_;  ///< one row (0/1)

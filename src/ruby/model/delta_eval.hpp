@@ -87,7 +87,7 @@ class DeltaEvaluator
     /**
      * Evaluate the mapping whose decision rows are @p candidate (axis
      * rows complete, keep flags 0 or 1, as every Mapspace draw and
-     * edit writes them; the packed masks are not read). Produces exactly
+     * edit writes them). Produces exactly
      * what Evaluator::evaluate() would (validity flag, reason and all
      * metrics bit-identical); counts one deltaAttempt plus either a
      * deltaHit (served against the base, possibly with zero model

@@ -192,26 +192,6 @@ Evaluator::evaluateStaged(const Mapping &mapping, Objective obj,
     return StagedEval::Modeled;
 }
 
-StagedEval
-Evaluator::evaluateStaged(const Mapping &mapping, Objective obj,
-                          SharedIncumbent &incumbent,
-                          bool boundPruning,
-                          EvalScratch &scratch) const
-{
-    if (!checkValidity(mapping, scratch, false))
-        return StagedEval::Invalid;
-    // Strict predicate: bound == incumbent is NOT pruned. A pruned
-    // mapping therefore has metric >= bound > final minimum, so the
-    // lowest-index mapping attaining the minimum is always modeled —
-    // regardless of which shard lowered the incumbent, or when.
-    if (boundPruning &&
-        objectiveLowerBound(mapping, obj) > incumbent.load())
-        return StagedEval::PrunedBound;
-    runFullModel(mapping, scratch);
-    incumbent.observeMin(scratch.result.objective(obj));
-    return StagedEval::Modeled;
-}
-
 void
 Evaluator::modelValidated(const Mapping &mapping,
                           EvalScratch &scratch) const

@@ -33,7 +33,6 @@
 
 #include "ruby/arch/arch_spec.hpp"
 #include "ruby/common/error.hpp"
-#include "ruby/common/incumbent.hpp"
 #include "ruby/mapping/mapping.hpp"
 #include "ruby/mapping/nest.hpp"
 #include "ruby/model/access_counts.hpp"
@@ -288,24 +287,6 @@ class Evaluator
      */
     StagedEval evaluateStaged(const Mapping &mapping, Objective obj,
                               double bestSoFar, bool boundPruning,
-                              EvalScratch &scratch) const;
-
-    /**
-     * Staged fast path against a SharedIncumbent (multi-shard
-     * searches). Differs from the scalar overload in two ways, both
-     * required for cross-thread determinism:
-     *
-     *  - the prune predicate is *strict* (bound > incumbent): a
-     *    mapping whose bound ties the incumbent is still modeled, so
-     *    the lowest-index holder of the minimum objective is always
-     *    evaluated no matter which shard found the incumbent first;
-     *  - after modeling, the metric is folded into the incumbent, so
-     *    an improvement on one thread immediately tightens pruning on
-     *    all of them.
-     */
-    StagedEval evaluateStaged(const Mapping &mapping, Objective obj,
-                              SharedIncumbent &incumbent,
-                              bool boundPruning,
                               EvalScratch &scratch) const;
 
     /**

@@ -37,7 +37,6 @@ runStrategyImpl(const Mapspace &space, const Evaluator &evaluator,
         ExhaustiveOptions ex;
         ex.objective = options.objective;
         ex.boundPruning = options.boundPruning;
-        ex.batchEval = options.batchEval;
         ex.threads = options.threads;
         ex.cancel = options.cancel;
         if (options.maxEvaluations != 0)
@@ -57,7 +56,6 @@ runStrategyImpl(const Mapspace &space, const Evaluator &evaluator,
         OptimalOptions op;
         op.objective = options.objective;
         op.boundPruning = options.boundPruning;
-        op.batchEval = options.batchEval;
         op.threads = options.threads;
         op.cancel = options.cancel;
         op.timeBudget = options.timeBudget;
@@ -83,7 +81,6 @@ runStrategyImpl(const Mapspace &space, const Evaluator &evaluator,
         g.islands = options.islands;
         g.threads = options.threads;
         g.incremental = options.incremental;
-        g.batchEval = options.batchEval;
         g.cancel = options.cancel;
         return geneticSearch(space, evaluator, g);
       }
@@ -95,15 +92,10 @@ runStrategyImpl(const Mapspace &space, const Evaluator &evaluator,
         l.cancel = options.cancel;
         if (options.maxEvaluations != 0)
             l.maxEvaluations = options.maxEvaluations;
-        unsigned t = options.threads;
-        if (t == 0) {
-            const unsigned hw = std::thread::hardware_concurrency();
-            t = hw != 0 ? hw : 1;
-        }
-        // One climbing start per worker: the natural unit of
-        // parallelism for hill climbing.
-        l.starts = t;
-        l.threads = t;
+        // The climbing starts are the restarts, so the answer is a
+        // function of (seed, restarts) at any thread count.
+        l.starts = options.restarts;
+        l.threads = options.threads;
         return localSearch(space, evaluator, l);
       }
     }
@@ -237,7 +229,7 @@ layerMemoKey(const ConvShape &sh, const ArchSpec &arch,
         o.maxEvaluations, ',', o.seed, ',', o.threads, ',',
         o.restarts, ',', o.boundPruning ? 1 : 0, ',', o.islands, ',',
         o.recordTrajectory ? 1 : 0, ',', o.incremental ? 1 : 0, ',',
-        o.batchEval ? 1 : 0, ',', o.refineSteps);
+        o.refineSteps);
 }
 
 } // namespace

@@ -57,10 +57,16 @@ struct ShardBest
 
 /**
  * Evaluate indices claimed chunk-by-chunk from the shared counter
- * until the range [0, limit) is exhausted. All shards prune against
- * the same incumbent through the strict-predicate staged overload, so
- * the set of modeled mappings may differ across thread counts but the
- * reduced best never does.
+ * until the range [0, limit) is exhausted, K at a time through the
+ * batch engine. Each index is decoded into reused decision rows that
+ * go straight into the batch engine — no Mapping, no FactorChain
+ * division — and a Mapping is built only for candidates that survive
+ * both the batch validity stages and the incumbent prune. Candidates
+ * are consumed in index order with per-index cancellation and fault
+ * points and first-strict-improvement selection. All shards prune
+ * against the same incumbent with a strict predicate, so the set of
+ * modeled mappings may differ across thread counts but the reduced
+ * best never does.
  */
 void
 shardLoop(const EnumContext &ctx, const Evaluator &evaluator,
@@ -68,74 +74,6 @@ shardLoop(const EnumContext &ctx, const Evaluator &evaluator,
           std::uint64_t chunk, const ExhaustiveIndexSpace &index_space,
           SharedIncumbent &incumbent, const CancelToken *cancel,
           ShardBest &best)
-{
-    FaultInjector &faults = FaultInjector::global();
-    EvalScratch scratch;
-    std::vector<std::size_t> pick, perm_pick;
-    Decisions rows = ctx.leaf;
-
-    for (;;) {
-        const std::uint64_t start =
-            next.fetch_add(chunk, std::memory_order_relaxed);
-        if (start >= limit)
-            return;
-        const std::uint64_t end = std::min(start + chunk, limit);
-        for (std::uint64_t i = start; i < end; ++i) {
-            if ((cancel != nullptr && cancel->cancelled()) ||
-                (ctx.opts.cancel != nullptr &&
-                 ctx.opts.cancel->cancelled()))
-                return;
-            index_space.decode(i, pick, perm_pick);
-            writeLeaf(ctx.chains, ctx.perm_set, pick, perm_pick, rows);
-            Mapping mapping = ctx.space.materialize(rows);
-            if (faults.enabled())
-                faults.maybeThrow("exhaustive_search.evaluate");
-            const StagedEval staged = evaluator.evaluateStaged(
-                mapping, ctx.opts.objective, incumbent,
-                ctx.opts.boundPruning, scratch);
-            switch (staged) {
-              case StagedEval::Invalid:
-                ++best.stats.invalid;
-                break;
-              case StagedEval::PrunedBound:
-                ++best.stats.prunedBound;
-                ++best.valid;
-                break;
-              case StagedEval::Modeled: {
-                ++best.stats.modeled;
-                ++best.valid;
-                const double metric =
-                    scratch.result.objective(ctx.opts.objective);
-                if (metric < best.metric) {
-                    best.metric = metric;
-                    best.index = i;
-                    best.mapping = std::move(mapping);
-                    best.result = scratch.result;
-                }
-                break;
-              }
-            }
-        }
-    }
-}
-
-/**
- * shardLoop() with the K-wide batch front end. Each index is decoded
- * into reused decision rows that go straight into the batch engine —
- * no Mapping, no FactorChain division — and a Mapping is built only for
- * candidates that survive both the batch validity stages and the
- * incumbent prune. Candidates are consumed in index order with the
- * scalar loop's per-index cancellation and fault points, the same
- * strict incumbent predicate, and first-strict-improvement selection,
- * so the reduced best is bit-identical to the scalar shard.
- */
-void
-shardLoopBatched(const EnumContext &ctx, const Evaluator &evaluator,
-                 std::atomic<std::uint64_t> &next, std::uint64_t limit,
-                 std::uint64_t chunk,
-                 const ExhaustiveIndexSpace &index_space,
-                 SharedIncumbent &incumbent, const CancelToken *cancel,
-                 ShardBest &best)
 {
     FaultInjector &faults = FaultInjector::global();
     EvalScratch scratch;
@@ -174,8 +112,11 @@ shardLoopBatched(const EnumContext &ctx, const Evaluator &evaluator,
                     ++best.stats.batchRejects;
                     continue;
                 }
-                // Same strict predicate as the staged incumbent
-                // overload: bound == incumbent is NOT pruned.
+                // Strict predicate: bound == incumbent is NOT pruned.
+                // A pruned mapping therefore has metric >= bound >
+                // final minimum, so the lowest-index mapping attaining
+                // the minimum is always modeled — whichever shard
+                // lowered the incumbent, and whenever.
                 if (ctx.opts.boundPruning &&
                     batch.bound(j) > incumbent.load()) {
                     ++best.stats.prunedBound;
@@ -279,21 +220,9 @@ exhaustiveSearch(const Mapspace &space, const Evaluator &evaluator,
         std::uint64_t>(threads, limit));
     std::vector<ShardBest> shard_bests(workers);
 
-    // Configurations whose keep/axis tables overflow the batch
-    // engine's mask lanes enumerate on the scalar path.
-    const bool batched =
-        options.batchEval &&
-        BatchEvaluator::supports(evaluator.problem(),
-                                 evaluator.arch());
-
     if (workers <= 1) {
-        if (batched)
-            shardLoopBatched(ctx, evaluator, next, limit, limit,
-                             index_space, incumbent, nullptr,
-                             shard_bests[0]);
-        else
-            shardLoop(ctx, evaluator, next, limit, limit, index_space,
-                      incumbent, nullptr, shard_bests[0]);
+        shardLoop(ctx, evaluator, next, limit, limit, index_space,
+                  incumbent, nullptr, shard_bests[0]);
     } else {
         const std::uint64_t chunk =
             ExhaustiveIndexSpace::chunkSizeFor(limit, workers);
@@ -301,14 +230,9 @@ exhaustiveSearch(const Mapspace &space, const Evaluator &evaluator,
         const CancelToken &cancel = pool.cancelToken();
         for (unsigned w = 0; w < workers; ++w)
             pool.submit([&, w]() {
-                if (batched)
-                    shardLoopBatched(ctx, evaluator, next, limit,
-                                     chunk, index_space, incumbent,
-                                     &cancel, shard_bests[w]);
-                else
-                    shardLoop(ctx, evaluator, next, limit, chunk,
-                              index_space, incumbent, &cancel,
-                              shard_bests[w]);
+                shardLoop(ctx, evaluator, next, limit, chunk,
+                          index_space, incumbent, &cancel,
+                          shard_bests[w]);
             });
         pool.waitIdle();
     }

@@ -43,15 +43,6 @@ struct ExhaustiveOptions
     bool boundPruning = true;
 
     /**
-     * Evaluate enumeration chunks through the batched SoA engine:
-     * decoded decision rows are ingested without constructing a
-     * Mapping, and one is materialized only for candidates that
-     * survive the batch validity stages and the incumbent prune.
-     * Results are bit-identical with the flag on or off.
-     */
-    bool batchEval = true;
-
-    /**
      * Worker threads sharding the enumeration (0 = one per hardware
      * thread). The index range is claimed in work-stealing chunks;
      * every shard prunes against one shared incumbent and the shard

@@ -72,40 +72,13 @@ struct ScoreJob
 };
 
 /**
- * Score one individual: full model, no bound prune — tournament
- * selection needs every member's actual fitness.
- */
-void
-scoreOne(const Mapspace &space, const Evaluator &evaluator,
-         Objective objective, Individual &ind, EvalScratch &scratch,
-         Tally &tally)
-{
-    FaultInjector &faults = FaultInjector::global();
-    const Mapping mapping = space.materialize(ind.decisions);
-    if (faults.enabled())
-        faults.maybeThrow("genetic_search.evaluate");
-    const auto t0 = Clock::now();
-    evaluator.evaluate(mapping, scratch);
-    tally.timers.evalNs += nsSince(t0);
-    ++tally.evaluated;
-    if (!scratch.result.valid) {
-        ++tally.stats.invalid;
-        ind.fitness = kInf;
-        return;
-    }
-    ++tally.stats.modeled;
-    ++tally.valid;
-    ind.fitness = scratch.result.objective(objective);
-}
-
-/**
  * Score every non-elite member of one island through its incremental
  * engine. The engine is rebased on the island's lead member each
  * generation — a deterministic repeat of an already-known evaluation,
  * so it is counted only as a deltaRebase — which makes mutation-only
  * children of that member single-row deltas; everything else falls
  * back to a full in-place recomputation inside the engine. Fitness
- * values are bit-identical to scoreOne() either way.
+ * values are bit-identical to those scoreJobs() computes.
  */
 void
 scoreIsland(const Mapspace &space, Objective objective, unsigned elites,
@@ -141,23 +114,21 @@ scoreIsland(const Mapspace &space, Objective objective, unsigned elites,
 }
 
 /**
- * Score jobs [lo, hi) through the batch engine, K members at a time.
- * Decision rows are ingested directly — no Mapping is built for
- * members the batch validity stages reject — and fitness needs
- * every surviving member's actual value, so the bound stages are
- * skipped outright (withBound = false). Each job writes only its own
- * individual's fitness plus @p tally, so chunked claiming stays free
- * to vary across runs. Fitness values are bit-identical to scoreOne().
+ * Score jobs [lo, hi) through the batch engine, K members at a time:
+ * full model, no bound prune — tournament selection needs every
+ * member's actual fitness, so the bound stages are skipped outright
+ * (withBound = false). Decision rows are ingested directly and no
+ * Mapping is built for members the batch validity stages reject.
+ * Each job writes only its own individual's fitness plus @p tally, so
+ * chunked claiming stays free to vary across runs.
  */
 void
-scoreJobsBatched(const Mapspace &space, const Evaluator &evaluator,
-                 Objective objective,
-                 std::vector<Island> &archipelago,
-                 const std::vector<ScoreJob> &jobs, std::size_t lo,
-                 std::size_t hi, BatchEvaluator &batch,
-                 EvalScratch &scratch, Tally &tally,
-                 const CancelToken *external,
-                 const CancelToken *poolCancel)
+scoreJobs(const Mapspace &space, const Evaluator &evaluator,
+          Objective objective, std::vector<Island> &archipelago,
+          const std::vector<ScoreJob> &jobs, std::size_t lo,
+          std::size_t hi, BatchEvaluator &batch, EvalScratch &scratch,
+          Tally &tally, const CancelToken *external,
+          const CancelToken *poolCancel)
 {
     FaultInjector &faults = FaultInjector::global();
     const auto t0 = Clock::now();
@@ -287,85 +258,43 @@ geneticSearch(const Mapspace &space, const Evaluator &evaluator,
         return options.cancel != nullptr && options.cancel->cancelled();
     };
     // One persistent batch engine per worker (lane arrays are reused
-    // across generations). Configurations whose keep/axis tables
-    // overflow the engine's mask lanes score on the scalar path.
-    const bool batched =
-        options.batchEval &&
-        BatchEvaluator::supports(evaluator.problem(),
-                                 evaluator.arch());
+    // across generations).
     std::vector<BatchEvaluator> batch_engines;
-    if (batched) {
-        batch_engines.reserve(threads);
-        for (unsigned w = 0; w < threads; ++w)
-            batch_engines.emplace_back(evaluator);
-    }
+    batch_engines.reserve(threads);
+    for (unsigned w = 0; w < threads; ++w)
+        batch_engines.emplace_back(evaluator);
 
     auto scoreBatch = [&](const std::vector<ScoreJob> &jobs) {
-        if (pool == nullptr || jobs.size() <= 1) {
-            if (batched && jobs.size() > 1) {
-                scoreJobsBatched(space, evaluator, options.objective,
-                                 archipelago, jobs, 0, jobs.size(),
-                                 batch_engines[0], worker_scratch[0],
-                                 tally, options.cancel, nullptr);
-                return;
-            }
-            for (const ScoreJob &job : jobs) {
-                if (externallyCancelled())
-                    return;
-                scoreOne(space, evaluator, options.objective,
-                         archipelago[job.island]
-                             .population[job.member],
-                         worker_scratch[0], tally);
-            }
+        if (pool == nullptr || jobs.size() <= kDefaultEvalBatch) {
+            scoreJobs(space, evaluator, options.objective, archipelago,
+                      jobs, 0, jobs.size(), batch_engines[0],
+                      worker_scratch[0], tally, options.cancel,
+                      nullptr);
             return;
         }
+        // Workers claim whole K-wide chunks so each batch stays
+        // contiguous; the merge below is commutative, so the claim
+        // order cannot affect any result.
         std::atomic<std::size_t> next{0};
-        const auto workers = static_cast<unsigned>(
-            std::min<std::size_t>(threads, jobs.size()));
+        const auto workers = static_cast<unsigned>(std::min<std::size_t>(
+            threads, (jobs.size() + kDefaultEvalBatch - 1) /
+                         kDefaultEvalBatch));
         std::vector<Tally> tallies(workers);
         const CancelToken &cancel = pool->cancelToken();
-        if (batched) {
-            // Workers claim whole K-wide chunks so each batch stays
-            // contiguous; the merge below is commutative, so the
-            // claim order cannot affect any result.
-            for (unsigned w = 0; w < workers; ++w)
-                pool->submit([&, w]() {
-                    for (;;) {
-                        const std::size_t lo = next.fetch_add(
-                            kDefaultEvalBatch,
-                            std::memory_order_relaxed);
-                        if (lo >= jobs.size() ||
-                            cancel.cancelled() ||
-                            externallyCancelled())
-                            return;
-                        const std::size_t hi =
-                            std::min(jobs.size(),
-                                     lo + kDefaultEvalBatch);
-                        scoreJobsBatched(
-                            space, evaluator, options.objective,
-                            archipelago, jobs, lo, hi,
-                            batch_engines[w], worker_scratch[w],
-                            tallies[w], options.cancel, &cancel);
-                    }
-                });
-            pool->waitIdle();
-            for (const Tally &t : tallies)
-                tally += t;
-            return;
-        }
         for (unsigned w = 0; w < workers; ++w)
             pool->submit([&, w]() {
                 for (;;) {
-                    const std::size_t idx = next.fetch_add(
-                        1, std::memory_order_relaxed);
-                    if (idx >= jobs.size() || cancel.cancelled() ||
+                    const std::size_t lo = next.fetch_add(
+                        kDefaultEvalBatch, std::memory_order_relaxed);
+                    if (lo >= jobs.size() || cancel.cancelled() ||
                         externallyCancelled())
                         return;
-                    const ScoreJob &job = jobs[idx];
-                    scoreOne(space, evaluator, options.objective,
-                             archipelago[job.island]
-                                 .population[job.member],
-                             worker_scratch[w], tallies[w]);
+                    const std::size_t hi =
+                        std::min(jobs.size(), lo + kDefaultEvalBatch);
+                    scoreJobs(space, evaluator, options.objective,
+                              archipelago, jobs, lo, hi,
+                              batch_engines[w], worker_scratch[w],
+                              tallies[w], options.cancel, &cancel);
                 }
             });
         pool->waitIdle();

@@ -163,16 +163,14 @@ class BnbWorker
               const ExhaustiveIndexSpace &index_space,
               SharedState &st, SharedIncumbent &incumbent,
               const Deadline &deadline, const CancelToken *cancel,
-              bool batched, ShardBest &best)
+              ShardBest &best)
         : ctx_(ctx), evaluator_(evaluator), index_space_(index_space),
           st_(st), incumbent_(incumbent), deadline_(deadline),
           cancel_(cancel), best_(best),
           nd_(ctx.space.problem().numDims()),
           nl_(ctx.space.arch().numLevels()),
-          nt_(ctx.space.problem().numTensors())
+          nt_(ctx.space.problem().numTensors()), batch_(evaluator)
     {
-        if (batched)
-            batch_.emplace(evaluator);
         rows_ = ctx.leaf;
         floor_.resize(static_cast<std::size_t>(nd_));
         extLB_.resize(static_cast<std::size_t>(nd_));
@@ -475,12 +473,7 @@ class BnbWorker
             }
             for (std::size_t j = 0; j < n; ++j)
                 best_.stats.invalid += foldBefore_[j];
-            if (batch_)
-                consumeWindowBatched(static_cast<std::size_t>(n),
-                                     faults);
-            else
-                consumeWindowScalar(static_cast<std::size_t>(n),
-                                    faults);
+            consumeWindow(static_cast<std::size_t>(n), faults);
             s = window_[static_cast<std::size_t>(n) - 1] + 1;
             if (cap != 0 && base + n >= cap && s < node.end) {
                 repush(node.bound, s, node.end, node.depth);
@@ -540,11 +533,10 @@ class BnbWorker
      *  order, through the batch engine with the exhaustive loop's
      *  per-leaf accounting. */
     void
-    consumeWindowBatched(std::size_t n, FaultInjector &faults)
+    consumeWindow(std::size_t n, FaultInjector &faults)
     {
-        BatchEvaluator &batch = *batch_;
         lane_index_.clear();
-        batch.begin(n);
+        batch_.begin(n);
         for (std::size_t j = 0; j < n; ++j) {
             const std::uint64_t i = window_[j];
             index_space_.decode(i, pick_, perm_pick_);
@@ -556,26 +548,26 @@ class BnbWorker
             }
             writeLeaf(ctx_.chains, ctx_.perm_set, pick_, perm_pick_,
                       rows_);
-            batch.add(rows_);
+            batch_.add(rows_);
             lane_index_.push_back(i);
         }
         if (lane_index_.empty())
             return;
-        batch.run(ctx_.opts.objective, best_.stats,
+        batch_.run(ctx_.opts.objective, best_.stats,
                   ctx_.opts.boundPruning);
         for (std::size_t j = 0; j < lane_index_.size(); ++j) {
             if (faults.enabled())
                 faults.maybeThrow("optimal_search.evaluate");
             ++best_.stats.batchedEvals;
-            if (!batch.valid(j)) {
+            if (!batch_.valid(j)) {
                 ++best_.stats.invalid;
                 ++best_.stats.batchRejects;
                 continue;
             }
-            // Strict, like the staged incumbent overload: a bound
-            // equal to the incumbent is NOT pruned.
+            // Strict: a bound equal to the incumbent is NOT pruned,
+            // so the lowest-index optimum is always modeled.
             if (ctx_.opts.boundPruning &&
-                batch.bound(j) > incumbent_.load()) {
+                batch_.bound(j) > incumbent_.load()) {
                 ++best_.stats.prunedBound;
                 ++best_.valid;
                 continue;
@@ -585,7 +577,7 @@ class BnbWorker
             writeLeaf(ctx_.chains, ctx_.perm_set, pick_, perm_pick_,
                       rows_);
             Mapping mapping = ctx_.space.materialize(rows_);
-            batch.prepareScratch(j, scratch_);
+            batch_.prepareScratch(j, scratch_);
             evaluator_.modelValidated(mapping, scratch_);
             const double metric =
                 scratch_.result.objective(ctx_.opts.objective);
@@ -597,49 +589,6 @@ class BnbWorker
                 best_.index = i;
                 best_.mapping = std::move(mapping);
                 best_.result = scratch_.result;
-            }
-        }
-    }
-
-    void
-    consumeWindowScalar(std::size_t n, FaultInjector &faults)
-    {
-        for (std::size_t j = 0; j < n; ++j) {
-            const std::uint64_t i = window_[j];
-            index_space_.decode(i, pick_, perm_pick_);
-            if (ctx_.symmetry && symmetryDuplicate()) {
-                ++best_.stats.prunedBound;
-                continue;
-            }
-            writeLeaf(ctx_.chains, ctx_.perm_set, pick_, perm_pick_,
-                      rows_);
-            Mapping mapping = ctx_.space.materialize(rows_);
-            if (faults.enabled())
-                faults.maybeThrow("optimal_search.evaluate");
-            const StagedEval staged = evaluator_.evaluateStaged(
-                mapping, ctx_.opts.objective, incumbent_,
-                ctx_.opts.boundPruning, scratch_);
-            switch (staged) {
-              case StagedEval::Invalid:
-                ++best_.stats.invalid;
-                break;
-              case StagedEval::PrunedBound:
-                ++best_.stats.prunedBound;
-                ++best_.valid;
-                break;
-              case StagedEval::Modeled: {
-                ++best_.stats.modeled;
-                ++best_.valid;
-                const double metric =
-                    scratch_.result.objective(ctx_.opts.objective);
-                if (metric < best_.metric) {
-                    best_.metric = metric;
-                    best_.index = i;
-                    best_.mapping = std::move(mapping);
-                    best_.result = scratch_.result;
-                }
-                break;
-              }
             }
         }
     }
@@ -656,7 +605,7 @@ class BnbWorker
     const int nl_;
     const int nt_;
 
-    std::optional<BatchEvaluator> batch_;
+    BatchEvaluator batch_;
     EvalScratch scratch_;
     std::vector<std::size_t> pick_, perm_pick_;
     /** The leaf being decoded (a copy of ctx_.leaf's rows). */
@@ -987,14 +936,9 @@ optimalSearch(const Mapspace &space, const Evaluator &evaluator,
     const Deadline deadline = Deadline::after(options.timeBudget);
     std::vector<ShardBest> shard_bests(workers);
 
-    const bool batched =
-        options.batchEval &&
-        BatchEvaluator::supports(evaluator.problem(),
-                                 evaluator.arch());
-
     if (workers <= 1) {
         BnbWorker worker(ctx, evaluator, index_space, st, incumbent,
-                         deadline, nullptr, batched, shard_bests[0]);
+                         deadline, nullptr, shard_bests[0]);
         worker.run();
     } else {
         ThreadPool pool(workers);
@@ -1003,7 +947,7 @@ optimalSearch(const Mapspace &space, const Evaluator &evaluator,
             pool.submit([&, w]() {
                 BnbWorker worker(ctx, evaluator, index_space, st,
                                  incumbent, deadline, &cancel,
-                                 batched, shard_bests[w]);
+                                 shard_bests[w]);
                 try {
                     worker.run();
                 } catch (...) {

@@ -78,9 +78,6 @@ struct OptimalOptions
      */
     bool symmetryPruning = true;
 
-    /** Score leaf frontiers through the K-wide batched SoA engine. */
-    bool batchEval = true;
-
     /**
      * Worker threads expanding the tree (0 = one per hardware
      * thread). Workers pop the globally cheapest open node from a

@@ -125,7 +125,6 @@ struct Search
     const Evaluator &evaluator;
     const SearchOptions &opts;
     const Deadline &deadline;
-    const bool batched; ///< scored through the batch engine
 
     std::atomic<std::uint64_t> nextBlock{0};
     std::atomic<bool> stop{false};
@@ -165,7 +164,7 @@ commitBlock(Search &s, Block &block)
         stats.invalid += v.fate == Fate::Rejected || v.fate == Fate::Invalid;
         stats.prunedBound += v.fate == Fate::Pruned;
         stats.modeled += v.fate == Fate::Modeled;
-        if (s.batched && v.fate != Fate::Rejected) {
+        if (v.fate != Fate::Rejected) {
             ++stats.batchedEvals;
             stats.batchRejects += v.fate == Fate::Invalid;
         }
@@ -207,51 +206,36 @@ commitBlock(Search &s, Block &block)
 }
 
 /**
- * Decide draw @p j of a block, cheapest check first (validity ->
- * objective lower bound -> full model), from the batch engine's lane
- * @p lane or through the scalar evaluator, identically. A draw whose
- * bound cannot beat @p threshold is pruned; a modeled draw that beats
- * it tightens the threshold and becomes a candidate.
+ * Decide draw @p j of a block from the batch engine's lane @p lane,
+ * cheapest check first (validity -> objective lower bound -> full
+ * model). A draw whose bound cannot beat @p threshold is pruned; a
+ * modeled draw that beats it tightens the threshold and becomes a
+ * candidate.
  */
 void
-decideLane(const Search &s, const BatchEvaluator *batch,
+decideLane(const Search &s, const BatchEvaluator &batch,
            std::size_t lane, const Decisions &drawn, std::size_t j,
            double &threshold, EvalScratch &scratch, Block &block)
 {
     const SearchOptions &opts = s.opts;
     Verdict &v = block.verdicts[j];
-    std::optional<Mapping> mapping;
-    if (batch != nullptr) {
-        if (!batch->valid(lane)) {
-            v.fate = Fate::Invalid;
-            return;
-        }
-        if (opts.boundPruning && batch->bound(lane) >= threshold) {
-            v.fate = Fate::Pruned;
-            return;
-        }
-        mapping.emplace(s.space.materialize(drawn));
-        batch->prepareScratch(lane, scratch);
-    } else {
-        mapping.emplace(s.space.materialize(drawn));
-        if (!s.evaluator.checkValidity(*mapping, scratch, false)) {
-            v.fate = Fate::Invalid;
-            return;
-        }
-        if (opts.boundPruning &&
-            s.evaluator.objectiveLowerBound(*mapping, opts.objective) >=
-                threshold) {
-            v.fate = Fate::Pruned;
-            return;
-        }
+    if (!batch.valid(lane)) {
+        v.fate = Fate::Invalid;
+        return;
     }
-    s.evaluator.modelValidated(*mapping, scratch);
+    if (opts.boundPruning && batch.bound(lane) >= threshold) {
+        v.fate = Fate::Pruned;
+        return;
+    }
+    Mapping mapping = s.space.materialize(drawn);
+    batch.prepareScratch(lane, scratch);
+    s.evaluator.modelValidated(mapping, scratch);
     v.fate = Fate::Modeled;
     v.metric = scratch.result.objective(opts.objective);
     if (v.metric < threshold) {
         threshold = v.metric;
         block.candidates.push_back(
-            Candidate{j, std::move(*mapping), scratch.result});
+            Candidate{j, std::move(mapping), scratch.result});
     }
 }
 
@@ -273,9 +257,7 @@ runWorker(Search &s, const CancelToken &cancel)
     const SearchOptions &opts = s.opts;
     FaultInjector &faults = FaultInjector::global();
     EvalScratch scratch;
-    std::optional<BatchEvaluator> batch;
-    if (s.batched)
-        batch.emplace(s.evaluator);
+    BatchEvaluator batch(s.evaluator);
     EvalStats unused; // the commit counts batch calls, not run()
     std::vector<Decisions> drawn(kDefaultEvalBatch);
     std::array<std::size_t, kDefaultEvalBatch> laneOf{};
@@ -307,24 +289,23 @@ runWorker(Search &s, const CancelToken &cancel)
 
         const auto draw0 = Clock::now();
         std::size_t lanes = 0;
-        if (batch)
-            batch->begin(size);
+        batch.begin(size);
         for (std::size_t j = 0; j < size; ++j) {
             Rng rng = Rng::keyed(opts.seed, first + j);
             const bool completed = s.space.sampleInto(rng, drawn[j]);
             // A completed draw's verdict is set by decideLane() below.
             block.verdicts[j] =
                 Verdict{completed ? Fate::Invalid : Fate::Rejected, kInf};
-            if (completed && batch) {
+            if (completed) {
                 laneOf[j] = lanes++;
-                batch->add(drawn[j]);
+                batch.add(drawn[j]);
             }
         }
         const auto eval0 = Clock::now();
         timers.breedNs += nsBetween(draw0, eval0);
         block.ranBatch = lanes > 0;
         if (block.ranBatch)
-            batch->run(opts.objective, unused, opts.boundPruning);
+            batch.run(opts.objective, unused, opts.boundPruning);
         double threshold = kInf;
         for (std::size_t j = 0; j < size; ++j) {
             if (faults.enabled())
@@ -334,8 +315,8 @@ runWorker(Search &s, const CancelToken &cancel)
             threshold = std::min(
                 threshold,
                 s.committedBest.load(std::memory_order_relaxed));
-            decideLane(s, batch ? &*batch : nullptr, laneOf[j],
-                       drawn[j], j, threshold, scratch, block);
+            decideLane(s, batch, laneOf[j], drawn[j], j, threshold,
+                       scratch, block);
         }
         const auto commit0 = Clock::now();
         timers.evalNs += nsBetween(eval0, commit0);
@@ -369,12 +350,7 @@ SearchResult
 runOne(const Mapspace &space, const Evaluator &evaluator,
        const SearchOptions &options, const Deadline &deadline)
 {
-    // Rare configurations whose keep/axis tables overflow the batch
-    // engine's mask lanes are scored by the scalar step.
-    Search s{space, evaluator, options, deadline,
-             options.batchEval &&
-                 BatchEvaluator::supports(evaluator.problem(),
-                                          evaluator.arch())};
+    Search s{space, evaluator, options, deadline};
     const CancelToken never;
     std::optional<ThreadPool> pool;
     if (options.threads > 1) {

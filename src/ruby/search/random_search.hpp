@@ -71,8 +71,9 @@ struct SearchOptions
     /**
      * Independent restarts (fresh seed each); the best result across
      * restarts is kept. Smooths random-search variance when
-     * comparing mapspaces of very different sizes. Must be >= 1;
-     * capped at 4096.
+     * comparing mapspaces of very different sizes. Local search
+     * climbs from this many starts (LocalSearchOptions::starts).
+     * Must be >= 1; capped at 4096.
      */
     unsigned restarts = 1;
 
@@ -115,18 +116,6 @@ struct SearchOptions
      * EvalStats.deltaHits / deltaFallbacks report the split.
      */
     bool incremental = true;
-
-    /**
-     * Evaluate candidates K at a time through the batched SoA engine
-     * (BatchEvaluator) where a strategy produces natural batches:
-     * random sampling, exhaustive work-stealing chunks, and genetic
-     * bulk scoring. The batch stages recompute exactly — best
-     * mappings, trajectories and stage counters are bit-identical
-     * with the flag on or off at any batch size — so disable only to
-     * measure the engine's effect. EvalStats.batchCalls /
-     * batchedEvals / batchRejects report the coverage.
-     */
-    bool batchEval = true;
 
     /**
      * Hill-climbing steps applied to the best mapping after random

@@ -286,7 +286,6 @@ searchOptionsToJson(const SearchOptions &options)
             JsonValue::makeBool(options.recordTrajectory));
     out.set("boundPruning", JsonValue::makeBool(options.boundPruning));
     out.set("incremental", JsonValue::makeBool(options.incremental));
-    out.set("batchEval", JsonValue::makeBool(options.batchEval));
     out.set("refineSteps", JsonValue::makeU64(options.refineSteps));
     out.set("islands", JsonValue::makeU64(options.islands));
     out.set("networkThreads",
@@ -323,7 +322,6 @@ searchOptionsFromJson(const JsonValue &v)
         v.getBool("recordTrajectory", o.recordTrajectory);
     o.boundPruning = v.getBool("boundPruning", o.boundPruning);
     o.incremental = v.getBool("incremental", o.incremental);
-    o.batchEval = v.getBool("batchEval", o.batchEval);
     o.refineSteps = static_cast<unsigned>(
         v.getU64("refineSteps", o.refineSteps));
     o.islands =

@@ -162,8 +162,8 @@ Health healthFromJson(const JsonValue &v);
 // -- domain codecs (exact round trips) ----------------------------------
 //
 // Decoders ignore keys they do not know, so the retired memo-cache
-// options, counters and gauge that older peers still send decode as
-// if absent.
+// options, counters and gauge, and the retired batch-evaluation
+// switch, that older peers still send decode as if absent.
 
 JsonValue evalStatsToJson(const EvalStats &stats);
 EvalStats evalStatsFromJson(const JsonValue &v);

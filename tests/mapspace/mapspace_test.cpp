@@ -222,9 +222,10 @@ TEST(MapspaceGolden, SampleStreamsArePinned)
 /**
  * sampleInto() is sample() split in two, with early rejection: on the
  * same keyed stream, a draw it completes materializes to the very
- * mapping sample() returns (same packed masks, same RNG calls), and a
- * draw it rejects is one the evaluator finds invalid. One Decisions is
- * reused across every draw and every variant, as the search loops do.
+ * mapping sample() returns (same keep and axis rows, same RNG calls),
+ * and a draw it rejects is one the evaluator finds invalid. One
+ * Decisions is reused across every draw and every variant, as the
+ * search loops do.
  */
 TEST(MapspaceGolden, SampleIntoMaterializesToSample)
 {
@@ -252,8 +253,8 @@ TEST(MapspaceGolden, SampleIntoMaterializesToSample)
             const Mapping got = space.materialize(decisions);
             ASSERT_EQ(got.toString(), expected.toString())
                 << variantName(variant) << " draw " << i;
-            EXPECT_EQ(decisions.keepMask, expected.keepMask());
-            EXPECT_EQ(decisions.axisYMask, expected.axisYMask());
+            EXPECT_EQ(decisions.keep, expected.decisions().keep);
+            EXPECT_EQ(decisions.axes, expected.decisions().axes);
             EXPECT_TRUE(eval.evaluate(expected).valid);
             // Both streams advanced by exactly the same RNG calls.
             EXPECT_EQ(viaSample.next(), viaRows.next());

@@ -3,7 +3,7 @@
  * The Mapspace edit operators on flat Decisions rows: chain
  * resampling keeps coverage and the variant's rules, every mutation
  * stays materializable and honours forced bypasses, undo is an exact
- * inverse (packed masks included), and crossover takes each row from
+ * inverse, and crossover takes each row from
  * one of the parents.
  */
 
@@ -41,8 +41,7 @@ bool
 sameRows(const Decisions &a, const Decisions &b)
 {
     return a.steady == b.steady && a.perms == b.perms &&
-           a.keep == b.keep && a.axes == b.axes &&
-           a.keepMask == b.keepMask && a.axisYMask == b.axisYMask;
+           a.keep == b.keep && a.axes == b.axes;
 }
 
 TEST(Mutation, DecisionsRoundTrip)

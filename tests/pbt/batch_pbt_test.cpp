@@ -5,14 +5,16 @@
  * every lane — validity, objective bound, and the scratch handed to
  * the full model — bit-identically to the scalar Evaluator stages, at
  * every batch width including 1, primes, the default, and widths
- * beyond it; the batched random search replays the scalar search
- * exactly, trajectory and counters included; and the Mapspace edit
- * operators keep the packed masks the batch engine trusts.
+ * beyond it; the batched random search replays a scalar loop over
+ * the same draws exactly, trajectory and counters included; and rows
+ * edited by the Mapspace operators are decided like the scalar
+ * stages, on hierarchies of any depth.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -115,8 +117,11 @@ TEST(BatchPbt, BatchStagesMatchScalarStages)
 
 /**
  * Property 2 — the batched random search is a replay of the scalar
- * one: same trajectory, same best, same stage counters, and every
- * draw the sampler completes served from a batch.
+ * stages: one restart on one thread answers exactly what a plain loop
+ * over the same keyed draws answers when it decides each draw with
+ * Evaluator::evaluateStaged() against the best so far — same
+ * trajectory, same best, same stage counters — and every draw the
+ * sampler completes is served from a batch.
  */
 std::optional<std::string>
 batchedSearchReplaysScalar(const WorkloadCase &c)
@@ -127,18 +132,60 @@ batchedSearchReplaysScalar(const WorkloadCase &c)
     const Mapspace space(cons, c.variant);
     const Evaluator eval(prob, arch);
 
-    SearchOptions scalar;
-    scalar.seed = c.sampleSeed;
-    scalar.maxEvaluations = 400;
-    scalar.terminationStreak = 150;
-    scalar.recordTrajectory = true;
-    scalar.threads = 1;
-    scalar.batchEval = false;
-    SearchOptions batched = scalar;
-    batched.batchEval = true;
+    SearchOptions opts;
+    opts.seed = c.sampleSeed;
+    opts.maxEvaluations = 400;
+    opts.terminationStreak = 150;
+    opts.recordTrajectory = true;
+    opts.threads = 1;
+    const SearchResult b = randomSearch(space, eval, opts);
 
-    const SearchResult a = randomSearch(space, eval, scalar);
-    const SearchResult b = randomSearch(space, eval, batched);
+    // The reference: draw i reads Rng::keyed(seed, i); a strict
+    // improvement becomes the incumbent; only valid draws move the
+    // streak.
+    SearchResult a;
+    EvalScratch scratch;
+    Decisions rows;
+    double best = std::numeric_limits<double>::infinity();
+    std::uint64_t streak = 0;
+    for (std::uint64_t i = 0; i < opts.maxEvaluations; ++i) {
+        Rng rng = Rng::keyed(opts.seed, i);
+        ++a.evaluated;
+        if (!space.sampleInto(rng, rows)) {
+            ++a.stats.invalid;
+        } else {
+            const Mapping mapping = space.materialize(rows);
+            switch (eval.evaluateStaged(mapping, opts.objective, best,
+                                        true, scratch)) {
+              case StagedEval::Invalid:
+                ++a.stats.invalid;
+                break;
+              case StagedEval::PrunedBound:
+                ++a.stats.prunedBound;
+                ++a.valid;
+                ++streak;
+                break;
+              case StagedEval::Modeled: {
+                ++a.stats.modeled;
+                ++a.valid;
+                const double metric =
+                    scratch.result.objective(opts.objective);
+                if (metric < best) {
+                    best = metric;
+                    a.best = mapping;
+                    a.bestResult = scratch.result;
+                    streak = 0;
+                } else {
+                    ++streak;
+                }
+                break;
+              }
+            }
+        }
+        a.trajectory.push_back(best);
+        if (streak >= opts.terminationStreak)
+            break;
+    }
 
     std::ostringstream os;
     os.precision(17);
@@ -194,17 +241,18 @@ TEST(BatchPbt, BatchedRandomSearchReplaysScalarSearch)
 }
 
 /**
- * Property 3 — the edit operators keep the packed masks true: after
- * any sequence of mutate(), undoMutation() and crossover() on sampled
- * rows, keepMask and axisYMask equal the masks a Mapping recomputes
- * from the rows (both zero where a table exceeds 64 bits), and where
- * the batch engine applies, it decides every edited draw exactly like
- * the scalar validity check.
+ * Property 3 — edited rows go to the batch engine as they stand:
+ * after any sequence of mutate(), undoMutation() and crossover() on
+ * sampled rows, the engine decides every edited draw exactly like the
+ * scalar stages — validity, objective bound and tile table. @p valid
+ * counts the edited draws that were valid.
  */
 std::optional<std::string>
-editedMasksCoherent(const Problem &prob, const ArchSpec &arch,
-                    MapspaceVariant variant, std::uint64_t seed,
-                    const std::string &what)
+editedDecisionsBatchLikeScalar(const Problem &prob, const ArchSpec &arch,
+                               MapspaceVariant variant,
+                               std::uint64_t seed,
+                               const std::string &what,
+                               std::size_t *valid = nullptr)
 {
     const MappingConstraints cons(prob, arch);
     const Mapspace space(cons, variant);
@@ -234,62 +282,67 @@ editedMasksCoherent(const Problem &prob, const ArchSpec &arch,
             std::swap(a, b);
             break;
         }
-        const Mapping mapping(prob, arch, a);
-        if (a.keepMask != mapping.keepMask() ||
-            a.axisYMask != mapping.axisYMask()) {
-            std::ostringstream os;
-            os << "step " << step << ": masks keep=" << std::hex
-               << a.keepMask << " axisY=" << a.axisYMask
-               << " but the rows give keep=" << mapping.keepMask()
-               << " axisY=" << mapping.axisYMask() << " (" << what
-               << ")";
-            return os.str();
-        }
         edited.push_back(a);
     }
 
-    if (!BatchEvaluator::supports(prob, arch))
-        return std::nullopt;
     BatchEvaluator batch(eval);
     EvalStats stats;
-    EvalScratch scratch;
+    EvalScratch scalar, batched;
     batch.begin(edited.size());
     for (const Decisions &rows : edited)
         batch.add(rows);
-    batch.run(Objective::EDP, stats, /*withBound=*/false);
+    batch.run(Objective::EDP, stats);
     for (std::size_t i = 0; i < edited.size(); ++i) {
-        const bool valid = eval.checkValidity(
-            space.materialize(edited[i]), scratch, false);
-        if (batch.valid(i) != valid) {
-            std::ostringstream os;
-            os << "edited draw " << i << ": batch valid="
-               << batch.valid(i) << " but scalar valid=" << valid
-               << " (" << what << ")";
+        const Mapping mapping = space.materialize(edited[i]);
+        const bool ok = eval.checkValidity(mapping, scalar, false);
+        std::ostringstream os;
+        os.precision(17);
+        os << "edited draw " << i << " (" << what << "): ";
+        if (batch.valid(i) != ok) {
+            os << "batch valid=" << batch.valid(i)
+               << " but scalar valid=" << ok;
+            return os.str();
+        }
+        if (!ok)
+            continue;
+        if (valid != nullptr)
+            ++*valid;
+        const double bound =
+            eval.objectiveLowerBound(mapping, Objective::EDP);
+        if (batch.bound(i) != bound) {
+            os << "batch bound " << batch.bound(i) << " != scalar "
+               << bound;
+            return os.str();
+        }
+        batch.prepareScratch(i, batched);
+        if (batched.tiles.tileWords != scalar.tiles.tileWords) {
+            os << "batch tile table differs from the scalar one";
             return os.str();
         }
     }
     return std::nullopt;
 }
 
-TEST(BatchPbt, EditedDecisionsKeepMasksCoherent)
+TEST(BatchPbt, EditedDecisionsBatchLikeScalar)
 {
     ruby::pbt::check(
-        "editedMasksCoherent", 0xBA7Eu, pbt::genWorkload,
+        "editedDecisionsBatchLikeScalar", 0xBA7Eu, pbt::genWorkload,
         [](const WorkloadCase &c) {
-            return editedMasksCoherent(c.problem(), c.arch(), c.variant,
-                                       c.sampleSeed, c.describe());
+            return editedDecisionsBatchLikeScalar(
+                c.problem(), c.arch(), c.variant, c.sampleSeed,
+                c.describe());
         },
         pbt::shrinkWorkload,
         [](const WorkloadCase &c) { return c.describe(); }, 25);
 }
 
 /**
- * The same property on a hierarchy too deep for the masks: 23 levels
- * of a convolution make both tables wider than 64 bits, so both masks
- * must stay zero under every edit (the batch engine declines such
- * configurations).
+ * The same property on a hierarchy far deeper than any preset: 23
+ * levels of a convolution make both the level x tensor and the
+ * level x dimension tables wider than 64 bits, so every lane spans
+ * several mask words.
  */
-TEST(BatchPbt, EditedDecisionsOfADeepHierarchyPackNoMasks)
+TEST(BatchPbt, EditedDecisionsOfADeepHierarchyBatchLikeScalar)
 {
     std::vector<StorageLevelSpec> levels(23);
     for (std::size_t l = 0; l < levels.size(); ++l) {
@@ -310,23 +363,16 @@ TEST(BatchPbt, EditedDecisionsOfADeepHierarchyPackNoMasks)
     shape.r = shape.s = 3;
     const Problem prob = makeConv(shape);
     ASSERT_GT(arch.numLevels() * prob.numTensors(), 64);
-    ASSERT_GT(arch.numLevels() * prob.numDims(), 64);
-    ASSERT_FALSE(BatchEvaluator::supports(prob, arch));
-    for (const std::uint64_t seed : {1u, 2u, 3u}) {
-        const auto failure = editedMasksCoherent(
-            prob, arch, MapspaceVariant::Ruby, seed, "deep-23");
-        EXPECT_FALSE(failure.has_value()) << *failure;
-    }
-    const MappingConstraints cons(prob, arch);
-    const Mapspace space(cons, MapspaceVariant::Ruby);
-    Rng rng(4);
-    Decisions rows;
-    space.sample(rng, rows);
-    for (int i = 0; i < 200; ++i) {
-        space.mutate(rows, rng);
-        EXPECT_EQ(rows.keepMask, 0u);
-        EXPECT_EQ(rows.axisYMask, 0u);
-    }
+    ASSERT_GT(arch.numLevels() * prob.numDims(), 128);
+    std::size_t valid = 0;
+    for (const MapspaceVariant variant :
+         {MapspaceVariant::Ruby, MapspaceVariant::RubyS})
+        for (const std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+            const auto failure = editedDecisionsBatchLikeScalar(
+                prob, arch, variant, seed, "deep-23", &valid);
+            EXPECT_FALSE(failure.has_value()) << *failure;
+        }
+    EXPECT_GT(valid, 0u);
 }
 
 } // namespace

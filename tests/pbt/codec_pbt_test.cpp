@@ -154,8 +154,6 @@ requestRoundTrips(const serve::Request &req)
             return fail("search.boundPruning");
         if (a.incremental != b.incremental)
             return fail("search.incremental");
-        if (a.batchEval != b.batchEval)
-            return fail("search.batchEval");
         if (a.refineSteps != b.refineSteps)
             return fail("search.refineSteps");
         if (a.islands != b.islands)

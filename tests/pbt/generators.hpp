@@ -593,7 +593,6 @@ genSearchOptions(Rng &rng)
     o.recordTrajectory = rng.below(2) == 1;
     o.boundPruning = rng.below(2) == 1;
     o.incremental = rng.below(2) == 1;
-    o.batchEval = rng.below(2) == 1;
     o.refineSteps = static_cast<unsigned>(rng.below(64));
     o.islands = static_cast<unsigned>(rng.between(1, 6));
     o.networkThreads = static_cast<unsigned>(rng.between(1, 4));

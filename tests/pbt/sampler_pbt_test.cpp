@@ -4,7 +4,7 @@
  * draw, Mapspace::sampleInto() returns false iff the evaluator
  * rejects the mapping sample() draws from the same key, and a draw it
  * completes materializes to exactly that mapping (same rendering,
- * same packed masks) and passes the validity check. Checked for all
+ * same keep and axis rows) and passes the validity check. Checked for all
  * four mapspace variants, over generated cases and over real layers
  * on the Eyeriss and Simba presets with their constraint presets.
  */
@@ -66,9 +66,9 @@ rejectionIsExact(const Mapspace &space, const Evaluator &eval,
                << expected.toString();
             return os.str();
         }
-        if (rows.keepMask != expected.keepMask() ||
-            rows.axisYMask != expected.axisYMask()) {
-            os << "packed masks differ from the mapping's";
+        const Decisions back = expected.decisions();
+        if (rows.keep != back.keep || rows.axes != back.axes) {
+            os << "keep or axis rows differ from the mapping's";
             return os.str();
         }
     }

@@ -139,7 +139,7 @@ TEST(OptimalSearch, TruncationReportsMonotoneGap)
     EXPECT_TRUE(sawTruncated);
 }
 
-TEST(OptimalSearch, BoundAndBatchTogglesPreserveTheWinner)
+TEST(OptimalSearch, BoundPruningTogglePreservesTheWinner)
 {
     const Problem prob = twoDimProblem();
     const ArchSpec arch = makeToyLinear(4);
@@ -150,18 +150,14 @@ TEST(OptimalSearch, BoundAndBatchTogglesPreserveTheWinner)
     const OptimalResult base = optimalSearch(space, eval);
     ASSERT_TRUE(base.best.has_value());
     ASSERT_TRUE(base.certified);
-    for (const bool boundPruning : {true, false})
-        for (const bool batchEval : {true, false}) {
-            OptimalOptions opts;
-            opts.boundPruning = boundPruning;
-            opts.batchEval = batchEval;
-            const OptimalResult res = optimalSearch(space, eval, opts);
-            ASSERT_TRUE(res.best.has_value());
-            EXPECT_TRUE(res.certified);
-            EXPECT_EQ(res.best->toString(), base.best->toString());
-            EXPECT_EQ(res.bestResult.edp, base.bestResult.edp);
-            EXPECT_EQ(res.evaluated, base.evaluated);
-        }
+    OptimalOptions opts;
+    opts.boundPruning = false;
+    const OptimalResult res = optimalSearch(space, eval, opts);
+    ASSERT_TRUE(res.best.has_value());
+    EXPECT_TRUE(res.certified);
+    EXPECT_EQ(res.best->toString(), base.best->toString());
+    EXPECT_EQ(res.bestResult.edp, base.bestResult.edp);
+    EXPECT_EQ(res.evaluated, base.evaluated);
 }
 
 TEST(OptimalSearch, DriverDispatchesAndPropagatesCertificate)

@@ -133,14 +133,12 @@ expectRandomThreadInvariance(const ArchSpec &arch,
         std::uint64_t streak;
         unsigned restarts;
         bool trajectory;
-        bool batchEval;
     };
     const Config configs[] = {
-        {"no streak", 0, 1, false, true},
-        {"streak", 150, 1, false, true},
-        {"streak, restarts 2", 150, 2, false, true},
-        {"trajectory", 150, 1, true, true},
-        {"scalar scoring", 150, 1, false, false},
+        {"no streak", 0, 1, false},
+        {"streak", 150, 1, false},
+        {"streak, restarts 2", 150, 2, false},
+        {"trajectory", 150, 1, true},
     };
     for (const Config &c : configs) {
         SCOPED_TRACE(c.name);
@@ -150,7 +148,6 @@ expectRandomThreadInvariance(const ArchSpec &arch,
         opts.terminationStreak = c.streak;
         opts.restarts = c.restarts;
         opts.recordTrajectory = c.trajectory;
-        opts.batchEval = c.batchEval;
         opts.threads = 1;
         const SearchResult a = randomSearch(space, eval, opts);
         EXPECT_LE(a.evaluated,

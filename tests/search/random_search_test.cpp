@@ -130,23 +130,19 @@ TEST(RandomSearch, ThreadedEvaluationCapIsHard)
             makeConstraints(ConstraintPreset::Simba, prob, arch);
         const Mapspace space(cons, MapspaceVariant::Ruby);
         const Evaluator eval(prob, arch);
-        for (const bool batched : {true, false})
-            for (const unsigned threads : {2u, 4u})
-                for (std::uint64_t seed = 1; seed <= 15; ++seed) {
-                    SearchOptions opts;
-                    opts.maxEvaluations = 300;
-                    opts.terminationStreak = 0;
-                    opts.threads = threads;
-                    opts.batchEval = batched;
-                    opts.seed = seed;
-                    const SearchResult res =
-                        randomSearch(space, eval, opts);
-                    ASSERT_EQ(res.evaluated, 300u)
-                        << "layer " << li << " seed " << seed
-                        << " threads " << threads << " batched "
-                        << batched;
-                    ASSERT_EQ(res.stats.decided(), res.evaluated);
-                }
+        for (const unsigned threads : {2u, 4u})
+            for (std::uint64_t seed = 1; seed <= 15; ++seed) {
+                SearchOptions opts;
+                opts.maxEvaluations = 300;
+                opts.terminationStreak = 0;
+                opts.threads = threads;
+                opts.seed = seed;
+                const SearchResult res = randomSearch(space, eval, opts);
+                ASSERT_EQ(res.evaluated, 300u)
+                    << "layer " << li << " seed " << seed << " threads "
+                    << threads;
+                ASSERT_EQ(res.stats.decided(), res.evaluated);
+            }
     }
 }
 

@@ -370,9 +370,9 @@ TEST(ServeProtocol, HealthFromOlderPeerDefaultsCacheGauges)
 }
 
 /**
- * Wire compatibility with peers that predate the memo cache's
- * removal: each object below is an encoder's output plus the keys
- * that peer still sends. Decoding must ignore those keys — the result
+ * Wire compatibility with peers that predate the removal of the memo
+ * cache and of the batch-evaluation switch: each object below is an
+ * encoder's output plus the keys that peer still sends. Decoding must ignore those keys — the result
  * re-encodes byte-identically to the plain object — and the encoders
  * must no longer emit them.
  */
@@ -401,7 +401,8 @@ retiredKeyRows()
         {"search options",
          searchOptionsToJson(fancyOptions()),
          {{"evalCache", JsonValue::makeBool(false)},
-          {"evalCacheCapacity", JsonValue::makeU64(1024)}},
+          {"evalCacheCapacity", JsonValue::makeU64(1024)},
+          {"batchEval", JsonValue::makeBool(false)}},
          [](const JsonValue &v) {
              return writeJson(
                  searchOptionsToJson(searchOptionsFromJson(v)));

@@ -540,6 +540,38 @@ TEST(ServeServer, ResponseCacheCanBeDisabled)
 }
 
 /**
+ * The batch-evaluation switch is retired: a request that still carries
+ * "batchEval": false (as older clients send it) is answered byte for
+ * byte like the same request without the key.
+ */
+TEST(ServeServer, RetiredBatchEvalKeyChangesNoAnswer)
+{
+    ServeOptions options = tcpOptions();
+    options.responseCache = false; // search both requests
+    Server server(options);
+    server.start();
+    Client client = Client::connectTcp("127.0.0.1", server.port());
+
+    for (const SearchStrategy strategy :
+         {SearchStrategy::Random, SearchStrategy::Genetic,
+          SearchStrategy::Exhaustive}) {
+        const JsonValue plain = encodeRequest(
+            mapRequest("same", kQuickConfig, quickOptions(strategy)));
+        JsonValue older = plain;
+        for (auto &[key, value] : older.object)
+            if (key == "search")
+                value.set("batchEval", JsonValue::makeBool(false));
+        const std::string a = client.callRaw(writeJson(plain));
+        const std::string b = client.callRaw(writeJson(older));
+        ASSERT_EQ(parseJson(a).at("code").asU64(), 0u) << a;
+        EXPECT_EQ(a, b) << strategyWireName(strategy);
+    }
+
+    server.requestShutdown();
+    server.waitForShutdown();
+}
+
+/**
  * The single-flight proof: N identical requests arriving while their
  * search is still pending produce exactly ONE search. A distinct slow
  * request pins the only admission slot, so the identical wave is

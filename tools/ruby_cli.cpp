@@ -13,7 +13,8 @@
  *
  * `map` overrides: --mapspace pfm|ruby|ruby-s|ruby-t,
  * --objective edp|energy|delay, --constraints <preset>, --evals N,
- * --streak N, --seed N, --threads N, --restarts N,
+ * --streak N, --seed N, --threads N, --restarts N (random-search
+ * restarts; local-search climbing starts),
  * --time-budget MS (wall-clock cap for the search),
  * --strategy random|exhaustive|genetic|local|optimal (search
  * algorithm; `optimal` is certified branch-and-bound — see
@@ -21,7 +22,6 @@
  * --islands N (genetic sub-populations),
  * --[no-]bound-pruning (objective lower-bound prune; on by default),
  * --[no-]incremental (delta evaluation engine; on by default),
- * --[no-]batch-eval (batched SoA evaluation; on by default),
  * --pad, --yaml (machine-readable output instead of the human
  * report). See docs/PERFORMANCE.md for the fast-path knobs.
  *
@@ -136,7 +136,6 @@ usage()
            " [--seed N]\n"
            "          [--threads N] [--restarts N] [--time-budget MS]\n"
            "          [--[no-]bound-pruning] [--[no-]incremental]\n"
-           "          [--[no-]batch-eval]\n"
            "          [--strategy"
            " random|exhaustive|genetic|local|optimal]\n"
            "          [--islands N] [--pad] [--yaml]\n"
@@ -241,10 +240,6 @@ applySearchFlag(const std::string &flag, SearchOptions &search,
         search.incremental = true;
     else if (flag == "--no-incremental")
         search.incremental = false;
-    else if (flag == "--batch-eval")
-        search.batchEval = true;
-    else if (flag == "--no-batch-eval")
-        search.batchEval = false;
     else if (flag == "--strategy") {
         // An unknown strategy is a usage mistake (exit 2 with the
         // usage text), not the generic config error the protocol
