@@ -1,16 +1,17 @@
 /**
  * @file
  * One mapping's decisions as flat rows: the form the sampler writes,
- * the search operators edit (Mapspace::mutate, crossover) and the
- * batch and delta evaluators ingest, with no nested tables and no
- * derived data (tails, body counts, extents). A Mapping is built from
- * it only for the candidates that need one (Mapspace::materialize).
+ * the search operators edit (Mapspace::mutate, crossover), the batch
+ * and delta evaluators ingest, and a Mapping stores. The rows hold no
+ * nested tables and no derived data (tails, body counts, extents);
+ * a Mapping derives its factor chains from them.
  *
- * Every row is a flat buffer indexed by a shape/stride tuple, so a
- * Decisions reused across draws keeps its capacity and a draw
- * performs no heap allocation once the rows have grown. The four rows
- * are the whole encoding, with no size limit: the batch evaluator
- * packs the keep and axis rows into its own mask words at ingest.
+ * Every row is a flat buffer indexed by a shape/stride tuple and is
+ * always complete (the axis row too), so a Decisions reused across
+ * draws keeps its capacity and a draw performs no heap allocation
+ * once the rows have grown. The four rows are the whole encoding,
+ * with no size limit: the batch evaluator packs the keep and axis
+ * rows into its own mask words at ingest.
  */
 
 #ifndef RUBY_MAPPING_DECISIONS_HPP
@@ -46,6 +47,8 @@ struct Decisions
     /** Mesh axis of dimension d's spatial factor at level l:
      *  [l * nd + d]. */
     std::vector<SpatialAxis> axes;
+
+    bool operator==(const Decisions &) const = default;
 };
 
 } // namespace ruby

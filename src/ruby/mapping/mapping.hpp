@@ -1,11 +1,11 @@
 /**
  * @file
  * The mapping IR: a complete allocation of a problem onto an
- * architecture — per-dimension factor chains over the slot layout,
- * per-level temporal loop orders, and per-level per-tensor residency
- * (keep/bypass) decisions. It holds its tables and nothing derived
- * from them for other engines: the batch evaluator packs what it
- * reads itself.
+ * architecture. It stores the mapping's flat decision rows
+ * (Decisions: per-dimension steady bounds, per-level temporal loop
+ * orders, residency and mesh axes) and derives from them only the
+ * factor chains — the ragged tails and body counts of paper eq. (5).
+ * Every other view (loop orders, keep flags, axes) indexes the rows.
  */
 
 #ifndef RUBY_MAPPING_MAPPING_HPP
@@ -25,13 +25,11 @@ namespace ruby
 {
 
 /**
- * A complete mapping of @c Problem onto @c ArchSpec.
- *
- * Mappings are immutable to every consumer except the incremental
- * evaluator, which edits whole components in place through the
- * set*() mutators below — each preserves every construction
- * invariant and performs no heap allocation, so a search can morph
- * one mapping through thousands of candidates without rebuilding it.
+ * A complete mapping of @c Problem onto @c ArchSpec: its Decisions
+ * rows and the factor chains derived from them. Both constructors
+ * validate the rows once; assign() replaces them in place without
+ * allocating, so the incremental evaluator can morph one mapping
+ * through thousands of candidates without rebuilding it.
  *
  * The referenced problem and architecture must outlive the mapping.
  */
@@ -39,33 +37,41 @@ class Mapping
 {
   public:
     /**
-     * @param problem Problem being mapped.
-     * @param arch    Target architecture.
+     * A mapping from flat decision rows (see Decisions): every row
+     * complete, each permutation covering every dimension once, the
+     * innermost and outermost levels keeping every tensor. Keep flags
+     * are stored as 0 or 1. Validity additionally requires the
+     * per-axis spatial products to fit each level's fanoutX / fanoutY.
+     */
+    Mapping(const Problem &problem, const ArchSpec &arch,
+            Decisions decisions);
+
+    /**
+     * The same mapping from nested tables, flattened into Decisions.
+     *
      * @param steady  steady[d] = per-slot steady bounds of dimension
      *                d, inner to outer; 2 * numLevels slots each.
      *                prod(steady[d]) must be >= dimSize(d).
      * @param perms   perms[l] = order of level l's temporal loops,
      *                outermost first; each a permutation of all dims.
-     * @param keep    keep[l][t] = tensor t resides at level l. The
-     *                innermost and outermost levels must keep all.
+     * @param keep    keep[l][t] = tensor t resides at level l.
      * @param axes    axes[l][d] = mesh axis dimension d's spatial
      *                factor at level l occupies; empty = all X.
-     *                Validity requires the per-axis products to fit
-     *                the level's fanoutX / fanoutY.
      */
     Mapping(const Problem &problem, const ArchSpec &arch,
             const std::vector<std::vector<std::uint64_t>> &steady,
-            std::vector<std::vector<DimId>> perms,
-            std::vector<std::vector<char>> keep,
-            std::vector<std::vector<SpatialAxis>> axes = {});
+            const std::vector<std::vector<DimId>> &perms,
+            const std::vector<std::vector<char>> &keep,
+            const std::vector<std::vector<SpatialAxis>> &axes = {});
 
     /**
-     * A mapping from flat decision rows (see Decisions). The packed
-     * masks are recomputed, not trusted; @p decisions.axes may be
-     * empty (all X).
+     * Replace every row with @p decisions, which must have this
+     * mapping's shape and satisfy the constructor's rules (asserted,
+     * not thrown). The result equals Mapping(problem(), arch(),
+     * decisions); only chains whose steady row changed are
+     * rederived, and no heap allocation is performed.
      */
-    Mapping(const Problem &problem, const ArchSpec &arch,
-            const Decisions &decisions);
+    void assign(const Decisions &decisions);
 
     /** The mapped problem. */
     const Problem &problem() const { return *problem_; }
@@ -79,9 +85,6 @@ class Mapping
     /** Factor chain of dimension d. */
     const FactorChain &chain(DimId d) const;
 
-    /** All chains, indexed by dimension — bulk form of chain(). */
-    const std::vector<FactorChain> &chains() const { return chains_; }
-
     /** The (steady, tail) pair of dimension d at slot k. */
     const FactorPair &factor(DimId d, int slot) const
     {
@@ -89,16 +92,10 @@ class Mapping
     }
 
     /** Temporal loop order of level l, outermost first. */
-    const std::vector<DimId> &permutation(int level) const;
+    std::span<const DimId> permutation(int level) const;
 
     /** True iff tensor t is kept (not bypassed) at level l. */
     bool keeps(int level, int tensor) const;
-
-    /** The whole keep table [level][tensor] — bulk form of keeps(). */
-    const std::vector<std::vector<char>> &keepTable() const
-    {
-        return keep_;
-    }
 
     /**
      * Per-dimension steady tile extents at slot boundary @p slot:
@@ -128,43 +125,8 @@ class Mapping
     /** Mesh axis dimension d's spatial factor occupies at level l. */
     SpatialAxis spatialAxis(int level, DimId d) const;
 
-    /**
-     * The whole axis table [level][dim] — bulk form of spatialAxis().
-     * Empty means every dimension maps to the X axis.
-     */
-    const std::vector<std::vector<SpatialAxis>> &axisTable() const
-    {
-        return axes_;
-    }
-
-    /**
-     * Replace dimension @p d's steady bounds in place (same slot
-     * count; prod must cover the dimension). Allocation-free.
-     */
-    void setChain(DimId d, std::span<const std::uint64_t> steady);
-
-    /** Replace level @p level's temporal loop order in place. */
-    void setPermutation(int level, std::span<const DimId> perm);
-
-    /**
-     * Replace level @p level's keep flags in place. The innermost and
-     * outermost levels must still keep every tensor.
-     */
-    void setKeepRow(int level, std::span<const char> keep);
-
-    /**
-     * Replace level @p level's spatial-axis row in place. If the
-     * mapping was built with empty axes (all X), the full axis table
-     * is materialized first (one-time allocation).
-     */
-    void setAxisRow(int level, std::span<const SpatialAxis> axes);
-
-    /**
-     * The flat decision rows of this mapping, the inverse of the
-     * Decisions constructor: keep flags are 0 or 1, the axis rows are
-     * always complete (X where the mapping was built without axes).
-     */
-    Decisions decisions() const;
+    /** The decision rows this mapping stores. */
+    const Decisions &decisions() const { return rows_; }
 
     /** True iff every chain is perfect (a PFM mapping). */
     bool fullyPerfect() const;
@@ -179,19 +141,11 @@ class Mapping
     std::string toString() const;
 
   private:
-    /**
-     * Check the invariants both constructors share: permutations
-     * cover every dimension, boundary levels keep every tensor.
-     */
-    void checkInvariants();
-
     const Problem *problem_;
     const ArchSpec *arch_;
+    Decisions rows_;
+    /** chains_[d], derived from rows_.steady. */
     std::vector<FactorChain> chains_;
-    std::vector<std::vector<DimId>> perms_;
-    std::vector<std::vector<char>> keep_;
-    /** axes_[l][d]; empty means all X. */
-    std::vector<std::vector<SpatialAxis>> axes_;
 };
 
 } // namespace ruby

@@ -76,6 +76,7 @@ leafRows(const Mapspace &space)
     rows.steady.resize(static_cast<std::size_t>(nd * 2 * nl));
     rows.perms.resize(static_cast<std::size_t>(nl * nd));
     rows.keep.resize(static_cast<std::size_t>(nl * nt));
+    rows.axes.assign(static_cast<std::size_t>(nl * nd), SpatialAxis::X);
     for (int l = 0; l < nl; ++l)
         for (int t = 0; t < nt; ++t) {
             const bool bypass = l > 0 && l < nl - 1 &&

@@ -48,8 +48,8 @@ enumerateChains(std::uint64_t dim, const std::vector<SlotRule> &rules,
 /**
  * The rows every enumerated leaf of exhaustive and optimal search
  * shares: keep-all residency honouring @p space's forced bypasses,
- * no mesh axes (all X), and steady and loop-order
- * rows sized for writeLeaf().
+ * every spatial factor on the X axis, and steady and loop-order rows
+ * sized for writeLeaf().
  */
 Decisions leafRows(const Mapspace &space);
 

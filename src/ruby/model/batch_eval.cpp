@@ -358,35 +358,7 @@ BatchEvaluator::add(const Mapping &mapping)
     RUBY_ASSERT(&mapping.problem() == prob_ &&
                     &mapping.arch() == arch_,
                 "batched mapping targets a different problem/arch");
-    RUBY_ASSERT(k_ < cap_, "batch is full; call begin() with a "
-                           "larger expected size");
-    const std::size_t i = k_++;
-    // Bulk-table reads: the per-accessor form (chain().at(), keeps(),
-    // spatialAxis()) costs a call per element, which at ~115 elements
-    // per candidate used to dominate the whole batch.
-    const std::vector<FactorChain> &chains = mapping.chains();
-    for (DimId d = 0; d < nd_; ++d) {
-        const std::vector<FactorPair> &pairs =
-            chains[static_cast<std::size_t>(d)].factors();
-        const std::size_t base = static_cast<std::size_t>(d) *
-                                 static_cast<std::size_t>(ns_);
-        for (int s = 0; s < ns_; ++s)
-            steady_[row(base + static_cast<std::size_t>(s)) + i] =
-                pairs[static_cast<std::size_t>(s)].steady;
-    }
-    const std::size_t nd = static_cast<std::size_t>(nd_);
-    const std::size_t nt = static_cast<std::size_t>(nt_);
-    const std::vector<std::vector<char>> &keep = mapping.keepTable();
-    packFlags(&keepMask_[i], cap_, static_cast<std::size_t>(nl_) * nt,
-              [&](std::size_t at) { return keep[at / nt][at % nt] != 0; });
-    // An empty axis table means every axis is X.
-    const std::vector<std::vector<SpatialAxis>> &axes =
-        mapping.axisTable();
-    packFlags(&axisYMask_[i], cap_, static_cast<std::size_t>(nl_) * nd,
-              [&](std::size_t at) {
-                  return !axes.empty() &&
-                         axes[at / nd][at % nd] == SpatialAxis::Y;
-              });
+    add(mapping.decisions());
 }
 
 void
@@ -402,21 +374,20 @@ BatchEvaluator::add(const Decisions &decisions)
                     static_cast<std::size_t>(nl_ * nt_),
                 "batched decisions need one keep flag per level and "
                 "tensor");
+    RUBY_ASSERT(decisions.axes.size() ==
+                    static_cast<std::size_t>(nl_ * nd_),
+                "batched decisions need one axis per level and "
+                "dimension");
     const std::size_t i = k_++;
     // The flat index d * ns + s is the lane row index.
     for (std::size_t r = 0; r < rows; ++r)
         steady_[row(r) + i] = decisions.steady[r];
     packFlags(&keepMask_[i], cap_, decisions.keep.size(),
               [&](std::size_t at) { return decisions.keep[at] != 0; });
-    // Empty axis rows (leafRows()) mean every axis is X.
-    const std::size_t axes = static_cast<std::size_t>(nl_ * nd_);
-    if (decisions.axes.empty())
-        packFlags(&axisYMask_[i], cap_, axes,
-                  [](std::size_t) { return false; });
-    else
-        packFlags(&axisYMask_[i], cap_, axes, [&](std::size_t at) {
-            return decisions.axes[at] == SpatialAxis::Y;
-        });
+    packFlags(&axisYMask_[i], cap_, decisions.axes.size(),
+              [&](std::size_t at) {
+                  return decisions.axes[at] == SpatialAxis::Y;
+              });
 }
 
 void

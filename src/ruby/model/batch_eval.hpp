@@ -79,18 +79,16 @@ class BatchEvaluator
     void begin(std::size_t expected = kDefaultEvalBatch);
 
     /**
-     * Ingest one candidate from a constructed Mapping (perfbench's
-     * probes, which hold mappings). Only the validity inputs are
-     * copied into lanes — the steady bounds, and the keep and axis
-     * tables packed into mask words; nothing is borrowed.
+     * Ingest one candidate from a constructed Mapping: add() of its
+     * decisions(). Kept for perfbench's probes, which hold mappings.
      */
     void add(const Mapping &mapping);
 
     /**
      * Ingest one candidate from flat decision rows: the steady row is
      * copied lane-wise as it stands and the keep and axis rows are
-     * packed into the lane's mask words (empty axis rows mean all X).
-     * Every search feeds its candidates this way and materializes a
+     * packed into the lane's mask words; nothing is borrowed. Every
+     * search feeds its candidates this way and materializes a
      * Mapping only for the ones that survive the batch stages.
      */
     void add(const Decisions &decisions);

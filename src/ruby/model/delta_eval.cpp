@@ -30,18 +30,6 @@ rowOf(const std::vector<T> &rows, std::size_t r, std::size_t w)
     return std::span<const T>(rows).subspan(r * w, w);
 }
 
-/** Overwrite row @p r of width @p w of @p to with the same row of
- *  @p from. */
-template <typename T>
-void
-copyRow(std::vector<T> &to, const std::vector<T> &from, std::size_t r,
-        std::size_t w)
-{
-    const auto row = rowOf(from, r, w);
-    std::copy(row.begin(), row.end(),
-              to.begin() + static_cast<std::ptrdiff_t>(r * w));
-}
-
 } // namespace
 
 DeltaEvaluator::DeltaEvaluator(const Evaluator &eval) : eval_(&eval)
@@ -63,9 +51,6 @@ DeltaEvaluator::rebase(const Mapping &mapping, EvalStats &stats)
         base_.emplace(mapping);
         cand_.emplace(mapping);
     }
-    baseRows_ = mapping.decisions();
-    candRows_ = baseRows_;
-    pending_.clear();
     baseCache_.invalidateAll();
     hasValidBase_ = false;
     lastWasValidCandidate_ = false;
@@ -97,10 +82,7 @@ DeltaEvaluator::evaluateCandidate(const Decisions &candidate,
         return baseScratch_.result;
     }
 
-    // Re-sync the candidate buffer to the base, then apply the diff.
-    setCandidateRows(baseRows_, pending_);
-    setCandidateRows(candidate, diffScratch_);
-    pending_ = diffScratch_;
+    cand_->assign(candidate);
 
     const bool incremental =
         hasValidBase_ && diffScratch_.rows() <= kMaxDeltaRows;
@@ -134,12 +116,8 @@ DeltaEvaluator::promoteLast()
     if (!lastWasValidCandidate_)
         return;
     std::swap(base_, cand_);
-    std::swap(baseRows_, candRows_);
     std::swap(baseScratch_, candScratch_);
     std::swap(baseCache_, candCache_);
-    // pending_ still names exactly the rows where the two mappings
-    // differ — the relation is symmetric — so the next sync restores
-    // the (new) candidate buffer from the (new) base correctly.
     hasValidBase_ = true;
     lastWasValidCandidate_ = false;
 }
@@ -162,53 +140,22 @@ DeltaEvaluator::computeDiff(const Decisions &candidate, Diff &out) const
                 "candidate rows do not match the problem and "
                 "architecture shape");
 
+    const Decisions &baseRows = base_->decisions();
     const auto differ = [](const auto &rows, const auto &base,
                            std::size_t r, std::size_t w) {
         const auto a = rowOf(rows, r, w);
         return !std::equal(a.begin(), a.end(), rowOf(base, r, w).begin());
     };
     for (std::size_t d = 0; d < nd; ++d)
-        if (differ(candidate.steady, baseRows_.steady, d, slots))
+        if (differ(candidate.steady, baseRows.steady, d, slots))
             out.chains.push_back(static_cast<DimId>(d));
     for (std::size_t l = 0; l < nl; ++l) {
-        if (differ(candidate.perms, baseRows_.perms, l, nd))
+        if (differ(candidate.perms, baseRows.perms, l, nd))
             out.perms.push_back(static_cast<int>(l));
-        if (differ(candidate.keep, baseRows_.keep, l, nt))
+        if (differ(candidate.keep, baseRows.keep, l, nt))
             out.keeps.push_back(static_cast<int>(l));
-        if (differ(candidate.axes, baseRows_.axes, l, nd))
+        if (differ(candidate.axes, baseRows.axes, l, nd))
             out.axes.push_back(static_cast<int>(l));
-    }
-}
-
-void
-DeltaEvaluator::setCandidateRows(const Decisions &from, const Diff &rows)
-{
-    const std::size_t nd =
-        static_cast<std::size_t>(eval_->problem().numDims());
-    const std::size_t nt =
-        static_cast<std::size_t>(eval_->problem().numTensors());
-    const std::size_t slots =
-        static_cast<std::size_t>(base_->numSlots());
-
-    for (DimId d : rows.chains) {
-        const auto r = static_cast<std::size_t>(d);
-        copyRow(candRows_.steady, from.steady, r, slots);
-        cand_->setChain(d, rowOf(from.steady, r, slots));
-    }
-    for (int l : rows.perms) {
-        const auto r = static_cast<std::size_t>(l);
-        copyRow(candRows_.perms, from.perms, r, nd);
-        cand_->setPermutation(l, rowOf(from.perms, r, nd));
-    }
-    for (int l : rows.keeps) {
-        const auto r = static_cast<std::size_t>(l);
-        copyRow(candRows_.keep, from.keep, r, nt);
-        cand_->setKeepRow(l, rowOf(from.keep, r, nt));
-    }
-    for (int l : rows.axes) {
-        const auto r = static_cast<std::size_t>(l);
-        copyRow(candRows_.axes, from.axes, r, nd);
-        cand_->setAxisRow(l, rowOf(from.axes, r, nd));
     }
 }
 

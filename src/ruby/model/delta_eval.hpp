@@ -7,14 +7,14 @@
  * mutation-only genetic child differs from its parent in a single
  * row. The full model re-derives every per-tensor access term from
  * scratch each time; the DeltaEvaluator instead keeps one
- * fully-evaluated *base* mapping, its flat decision rows and the
- * per-term memo the model produced for it (AccessTermCache). It takes
- * each candidate as the same flat Decisions rows the searches edit,
- * diffs them against the base's rows (one contiguous compare per
- * chain, loop-order, residency and axis row), copies only the
- * differing rows into its candidate Mapping through the span-taking
- * set*() mutators, and re-derives only the terms the touched rows can
- * reach:
+ * fully-evaluated *base* mapping and the per-term memo the model
+ * produced for it (AccessTermCache). It takes each candidate as the
+ * same flat Decisions rows the searches edit, diffs them against the
+ * rows the base mapping stores (one contiguous compare per chain,
+ * loop-order, residency and axis row), assigns them to its reused
+ * candidate Mapping (Mapping::assign rederives only the chains whose
+ * steady row changed), and re-derives only the terms the touched rows
+ * can reach:
  *
  *   chain(d)  — exact per-slot comparison of the old and new factor
  *               chains (steady, tail, ragged body counts); a boundary
@@ -106,20 +106,11 @@ class DeltaEvaluator
      */
     void promoteLast();
 
-    /** True once the current base evaluated as valid. */
-    bool hasValidBase() const { return hasValidBase_; }
-
-    /** The base mapping (engaged after the first rebase()). */
-    const Mapping *baseMapping() const
-    {
-        return base_ ? &*base_ : nullptr;
-    }
-
     /** The base evaluation result (valid after the first rebase()). */
     const EvalResult &baseResult() const { return baseScratch_.result; }
 
   private:
-    /** Rows of the last applied diff, for base re-sync and dirt. */
+    /** The rows where a candidate differs from the base. */
     struct Diff
     {
         std::vector<DimId> chains;
@@ -142,8 +133,6 @@ class DeltaEvaluator
     };
 
     void computeDiff(const Decisions &candidate, Diff &out) const;
-    /** Copy @p rows of @p from into cand_ and candRows_. */
-    void setCandidateRows(const Decisions &from, const Diff &rows);
     void invalidateDirtyTerms(const Diff &diff);
     bool checkValidityIncremental(const Diff &diff);
     void runModelOnCandidate();
@@ -154,16 +143,10 @@ class DeltaEvaluator
     const Evaluator *eval_;
     std::optional<Mapping> base_;
     std::optional<Mapping> cand_;
-    /** The decision rows of base_ and cand_ (masks unused): diffs
-     *  compare flat rows, and re-syncs copy rows out of them. */
-    Decisions baseRows_;
-    Decisions candRows_;
     EvalScratch baseScratch_;
     EvalScratch candScratch_;
     AccessTermCache baseCache_;
     AccessTermCache candCache_;
-    /** Rows where cand_ currently deviates from base_. */
-    Diff pending_;
     /** Per-call diff buffer (kept to avoid reallocation). */
     Diff diffScratch_;
     bool hasValidBase_ = false;

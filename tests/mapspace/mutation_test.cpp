@@ -37,13 +37,6 @@ struct MutationFixture
     }
 };
 
-bool
-sameRows(const Decisions &a, const Decisions &b)
-{
-    return a.steady == b.steady && a.perms == b.perms &&
-           a.keep == b.keep && a.axes == b.axes;
-}
-
 TEST(Mutation, DecisionsRoundTrip)
 {
     MutationFixture fx;
@@ -52,7 +45,7 @@ TEST(Mutation, DecisionsRoundTrip)
         const Mapping original = fx.space.sample(viaMapping);
         Decisions rows;
         fx.space.sample(viaRows, rows);
-        EXPECT_TRUE(sameRows(original.decisions(), rows)) << i;
+        EXPECT_TRUE(original.decisions() == rows) << i;
         EXPECT_EQ(original.toString(),
                   fx.space.materialize(original.decisions()).toString());
     }
@@ -108,9 +101,9 @@ TEST(Mutation, UndoIsAnExactInverse)
     for (int i = 0; i < 1000; ++i) {
         const Decisions before = rows;
         space.mutate(rows, rng, &undo);
-        changed += sameRows(before, rows) ? 0 : 1;
+        changed += before == rows ? 0 : 1;
         space.undoMutation(rows, undo);
-        ASSERT_TRUE(sameRows(before, rows)) << "mutation " << i;
+        ASSERT_TRUE(before == rows) << "mutation " << i;
         // Walk on: keep every other mutation.
         if (i % 2 == 0)
             space.mutate(rows, rng);

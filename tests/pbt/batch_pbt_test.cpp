@@ -26,7 +26,6 @@
 #include "ruby/model/batch_eval.hpp"
 #include "ruby/model/evaluator.hpp"
 #include "ruby/search/random_search.hpp"
-#include "ruby/workload/conv.hpp"
 
 namespace
 {
@@ -337,31 +336,13 @@ TEST(BatchPbt, EditedDecisionsBatchLikeScalar)
 }
 
 /**
- * The same property on a hierarchy far deeper than any preset: 23
- * levels of a convolution make both the level x tensor and the
- * level x dimension tables wider than 64 bits, so every lane spans
- * several mask words.
+ * The same property on a hierarchy far deeper than any preset
+ * (pbt::makeDeep23): every lane spans several mask words.
  */
 TEST(BatchPbt, EditedDecisionsOfADeepHierarchyBatchLikeScalar)
 {
-    std::vector<StorageLevelSpec> levels(23);
-    for (std::size_t l = 0; l < levels.size(); ++l) {
-        StorageLevelSpec &lvl = levels[l];
-        lvl.name = "L" + std::to_string(l);
-        lvl.capacityWords =
-            l + 1 < levels.size() ? std::uint64_t{64} << l : 0;
-        lvl.readEnergy = lvl.writeEnergy = 1.0 + static_cast<double>(l);
-        if (l % 5 == 1) {
-            lvl.fanoutX = 2;
-            lvl.fanoutY = 2;
-        }
-    }
-    const ArchSpec arch("deep-23", levels, 1.0, 1.0);
-    ConvShape shape;
-    shape.c = shape.m = 8;
-    shape.p = shape.q = 4;
-    shape.r = shape.s = 3;
-    const Problem prob = makeConv(shape);
+    const ArchSpec arch = pbt::makeDeep23();
+    const Problem prob = pbt::makeDeepConv();
     ASSERT_GT(arch.numLevels() * prob.numTensors(), 64);
     ASSERT_GT(arch.numLevels() * prob.numDims(), 128);
     std::size_t valid = 0;

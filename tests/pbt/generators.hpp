@@ -404,6 +404,40 @@ shrinkWorkload(const WorkloadCase &c)
     return out;
 }
 
+/**
+ * A hierarchy far deeper than any preset: 23 levels (2x2 meshes at
+ * every fifth level from L1), for makeDeepConv(). Both the level x
+ * tensor and the level x dimension tables are wider than 64 bits.
+ */
+inline ArchSpec
+makeDeep23()
+{
+    std::vector<StorageLevelSpec> levels(23);
+    for (std::size_t l = 0; l < levels.size(); ++l) {
+        StorageLevelSpec &lvl = levels[l];
+        lvl.name = "L" + std::to_string(l);
+        lvl.capacityWords =
+            l + 1 < levels.size() ? std::uint64_t{64} << l : 0;
+        lvl.readEnergy = lvl.writeEnergy = 1.0 + static_cast<double>(l);
+        if (l % 5 == 1) {
+            lvl.fanoutX = 2;
+            lvl.fanoutY = 2;
+        }
+    }
+    return ArchSpec("deep-23", levels, 1.0, 1.0);
+}
+
+/** The 3x3 convolution mapped onto makeDeep23(). */
+inline Problem
+makeDeepConv()
+{
+    ConvShape shape;
+    shape.c = shape.m = 8;
+    shape.p = shape.q = 4;
+    shape.r = shape.s = 3;
+    return makeConv(shape);
+}
+
 // ---------------------------------------------------------------------
 // Factor chains (mixed-radix identity cases)
 // ---------------------------------------------------------------------
