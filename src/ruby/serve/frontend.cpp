@@ -236,10 +236,15 @@ Frontend::start(const std::string &listenNote)
     startTime_ = std::chrono::steady_clock::now();
 
     started_ = true;
-    reactorThread_ = std::thread([this]() { loop_->run(); });
-    signalThread_ = std::thread([this]() {
+    // The reactor and the signal forwarder each hold one thread of
+    // this pool for their whole life. Both loops are noexcept: an
+    // exception escaping either terminates the process, as it would
+    // on a thread of their own, instead of being parked in the pool.
+    loopThreads_ = std::make_unique<ThreadPool>(2);
+    loopThreads_->submit([this]() noexcept { loop_->run(); });
+    loopThreads_->submit([this]() noexcept {
         // Forward signal-pipe bytes: 's' (from the handler) begins
-        // the drain; 'q' (from requestShutdown) retires this thread.
+        // the drain; 'q' (from requestShutdown) retires this loop.
         for (;;) {
             char byte = 0;
             const ssize_t n = ::read(sigPipe_[0], &byte, 1);
@@ -350,12 +355,11 @@ Frontend::waitForShutdown()
     pipeline_->waitIdle();
     slots_->waitIdle();
     loop_->stop();
-    if (reactorThread_.joinable())
-        reactorThread_.join();
+    // Waits out the reactor (stopped above) and the signal forwarder
+    // (retired by the 'q' requestShutdown wrote).
+    loopThreads_.reset();
     slots_.reset();
     pipeline_.reset();
-    if (signalThread_.joinable())
-        signalThread_.join();
 
     loop_.reset();
     closeDescriptors();

@@ -131,12 +131,20 @@ void
 Router::start()
 {
     // First health sweep before serving: a backend that is down at
-    // boot must not receive the first keys.
-    for (std::size_t i = 0; i < backends_.size(); ++i)
-        checkBackend(i);
+    // boot must not receive the first keys. All backends are probed
+    // at once, so a slow or dead one delays boot by one probe only.
+    {
+        ThreadPool sweep(static_cast<unsigned>(backends_.size()));
+        for (std::size_t i = 0; i < backends_.size(); ++i)
+            sweep.submit([this, i] { checkBackend(i); });
+        sweep.waitIdle();
+    }
     frontend_.start(detail::composeMessage(" (", backends_.size(),
                                            " backends)"));
-    healthThread_ = std::thread([this]() { healthLoop(); });
+    // noexcept: an exception escaping the loop terminates the
+    // process instead of waiting unseen in the pool.
+    healthThread_ = std::make_unique<ThreadPool>(1);
+    healthThread_->submit([this]() noexcept { healthLoop(); });
 }
 
 void
@@ -147,8 +155,7 @@ Router::waitForShutdown()
     // (drainBudgetExpired); the health thread then sees the request
     // and retires.
     frontend_.waitForShutdown();
-    if (healthThread_.joinable())
-        healthThread_.join();
+    healthThread_.reset();
     for (std::size_t i = 0; i < backends_.size(); ++i)
         dropConnections(i);
 }

@@ -50,9 +50,9 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
+#include "ruby/common/thread_pool.hpp"
 #include "ruby/serve/client.hpp"
 #include "ruby/serve/frontend.hpp"
 
@@ -231,7 +231,8 @@ class Router : private Frontend::Handler
 
     /** After the state above: its threads stop before that goes. */
     Frontend frontend_;
-    std::thread healthThread_;
+    /** Runs healthLoop() on one parked thread. */
+    std::unique_ptr<ThreadPool> healthThread_;
 };
 
 } // namespace serve

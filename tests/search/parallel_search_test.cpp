@@ -7,8 +7,9 @@
  * network sweep must parallelize across layers without changing any
  * outcome, and the layer memo must search each distinct shape once.
  *
- * The incumbent stress test at the bottom is the TSan target for the
- * shared atomic best-objective.
+ * The incumbent stress test is the TSan target for the shared atomic
+ * best-objective. The last test checks that, once warm, neither a
+ * search nor a daemon start/stop cycle creates an OS thread.
  */
 
 #include <gtest/gtest.h>
@@ -17,8 +18,11 @@
 #include <atomic>
 #include <bit>
 #include <limits>
+#include <set>
+#include <thread>
 #include <vector>
 
+#include "../test_util.hpp"
 #include "ruby/arch/presets.hpp"
 #include "ruby/common/incumbent.hpp"
 #include "ruby/common/thread_pool.hpp"
@@ -27,6 +31,7 @@
 #include "ruby/search/genetic_search.hpp"
 #include "ruby/search/local_search.hpp"
 #include "ruby/search/random_search.hpp"
+#include "ruby/serve/server.hpp"
 #include "ruby/workload/conv.hpp"
 #include "ruby/workload/problem.hpp"
 
@@ -437,6 +442,65 @@ TEST(ParallelSearch, SharedIncumbentStressKeepsMinimum)
     pool.waitIdle();
     EXPECT_EQ(incumbent.load(),
               static_cast<double>(lowest_seen.load()));
+}
+
+/**
+ * Per-call pools and the daemon's threads come from the thread park,
+ * so after one warm-up of each, repeated searches and daemon
+ * start/stop cycles run only on threads that already exist: a
+ * watcher lists the live threads throughout, each running daemon is
+ * checked directly, and the thread count ends where it started.
+ */
+TEST(ParallelSearch, NoThreadIsCreatedPerSearchOrServerCycle)
+{
+    const Problem prob = makeConv(smallConv());
+    const ArchSpec arch = makeEyeriss();
+    const MappingConstraints cons =
+        makeConstraints(ConstraintPreset::EyerissRS, prob, arch);
+    const Mapspace space(cons, MapspaceVariant::RubyS);
+    const Evaluator eval(prob, arch);
+    SearchOptions opts;
+    opts.seed = 3;
+    opts.maxEvaluations = 600;
+    opts.terminationStreak = 0;
+    opts.threads = 4;
+    serve::ServeOptions serveOpts;
+    serveOpts.port = 0;
+    serveOpts.logLifecycle = false;
+
+    const SearchResult warm = randomSearch(space, eval, opts);
+    serve::Server(serveOpts).start();
+
+    std::set<int> known;
+    std::set<int> strangers;
+    std::atomic<bool> armed{false};
+    std::atomic<bool> done{false};
+    std::thread watcher([&] {
+        while (!armed.load())
+            std::this_thread::yield();
+        while (!done.load())
+            for (const int id : test::liveThreadIds())
+                if (known.count(id) == 0)
+                    strangers.insert(id);
+    });
+    known = test::liveThreadIds();
+    const int threads = test::processThreadCount();
+    armed.store(true);
+
+    for (int i = 0; i < 50; ++i) {
+        const SearchResult r = randomSearch(space, eval, opts);
+        ASSERT_EQ(r.best->toString(), warm.best->toString());
+    }
+    for (int i = 0; i < 20; ++i) {
+        serve::Server server(serveOpts);
+        server.start();
+        for (const int id : test::liveThreadIds())
+            EXPECT_EQ(known.count(id), 1u) << "cycle " << i;
+    }
+    done.store(true);
+    watcher.join();
+    EXPECT_TRUE(strangers.empty()) << strangers.size() << " new threads";
+    EXPECT_EQ(test::processThreadCount(), threads - 1); // the watcher
 }
 
 } // namespace

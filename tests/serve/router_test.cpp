@@ -4,12 +4,18 @@
  * composition (architecture + shape, never search options), raw
  * byte-identity of routed responses, failover when a backend dies
  * mid-trace (in-flight requests surface their true outcome; later
- * keys re-hash onto the survivors), and the aggregated fleet stats
- * report dropping the dead backend. Everything runs in-process over
+ * keys re-hash onto the survivors), a backend that is dead at boot
+ * never receiving a key, and the aggregated fleet stats report
+ * dropping the dead backend. Everything runs in-process over
  * real sockets so it also executes under TSan.
  */
 
 #include <gtest/gtest.h>
+
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
 
 #include <chrono>
 #include <memory>
@@ -472,6 +478,73 @@ TEST(Router, StatsFanInAggregatesTheFleet)
     EXPECT_TRUE(health.ok);
     EXPECT_EQ(health.requestCount, 4u);
     EXPECT_GT(health.p99Ms, 0.0);
+}
+
+/** A loopback port with no listener: bound once, then released. */
+int
+closedPort()
+{
+    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = 0;
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(::bind(fd, reinterpret_cast<sockaddr *>(&addr), len), 0);
+    EXPECT_EQ(
+        ::getsockname(fd, reinterpret_cast<sockaddr *>(&addr), &len),
+        0);
+    ::close(fd);
+    return ntohs(addr.sin_port);
+}
+
+TEST(Router, BootSweepMarksADeadBackendUnhealthy)
+{
+    ServeOptions sopts;
+    sopts.port = 0;
+    sopts.logLifecycle = false;
+    Server live(sopts);
+    live.start();
+
+    RouterOptions ropts;
+    ropts.port = 0;
+    ropts.logLifecycle = false;
+    // Only the boot sweep may judge the backends during the test.
+    ropts.healthInterval = std::chrono::hours(1);
+    Endpoint endpoint;
+    endpoint.host = "127.0.0.1";
+    endpoint.port = live.port();
+    ropts.backends.push_back(endpoint);
+    endpoint.port = closedPort();
+    ropts.backends.push_back(endpoint);
+    Router router(std::move(ropts));
+    router.start();
+
+    // Eight keys: with a healthy-looking dead shard, about half of
+    // them would be forwarded there first and then rerouted.
+    constexpr std::uint64_t kKeys = 8;
+    for (std::uint64_t k = 0; k < kKeys; ++k) {
+        Client client = Client::connectTcp("127.0.0.1", router.port());
+        const JsonValue response = client.call(encodeRequest(
+            mapRequest("boot-" + std::to_string(k),
+                       quickConfig(8 + 2 * k))));
+        EXPECT_EQ(response.at("code").asU64(), 0u)
+            << writeJson(response);
+    }
+
+    const JsonValue stats = router.fleetStatsJson();
+    EXPECT_EQ(stats.at("router").at("reroutes").asU64(), 0u);
+    EXPECT_EQ(stats.at("router").at("backendsHealthy").asU64(), 1u);
+    const auto &entries = stats.at("backends").array;
+    ASSERT_EQ(entries.size(), 2u);
+    EXPECT_TRUE(entries[0].at("healthy").asBool());
+    EXPECT_EQ(entries[0].at("routed").asU64(), kKeys);
+    EXPECT_FALSE(entries[1].at("healthy").asBool());
+
+    router.requestShutdown();
+    router.waitForShutdown();
+    live.requestShutdown();
+    live.waitForShutdown();
 }
 
 TEST(Router, ShutdownDrainsRouterButNotBackends)
