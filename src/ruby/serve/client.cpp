@@ -2,6 +2,7 @@
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -124,6 +125,9 @@ Client::connect(const Endpoint &endpoint)
                                    address + ": " +
                                    std::strerror(err));
         }
+        // Requests are whole lines written at once: no Nagle delay.
+        const int one = 1;
+        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     }
     Client client(fd);
     client.endpoint_ = endpoint;

@@ -1,6 +1,8 @@
 #include "ruby/serve/event_loop.hpp"
 
 #include <fcntl.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
@@ -57,6 +59,11 @@ EventLoop::EventLoop(int listenFd, std::size_t maxLineBytes,
     setNonBlocking(wakeupW_);
 
     setNonBlocking(listenFd_);
+    int domain = 0;
+    socklen_t domainLen = sizeof(domain);
+    tcpListener_ = ::getsockopt(listenFd_, SOL_SOCKET, SO_DOMAIN,
+                                &domain, &domainLen) == 0 &&
+                   (domain == AF_INET || domain == AF_INET6);
 
     epoll_event ev{};
     ev.events = EPOLLIN;
@@ -268,6 +275,13 @@ EventLoop::handleAccept()
             return; // EAGAIN (drained) or a transient accept error
         }
         setNonBlocking(fd);
+        if (tcpListener_) {
+            // Replies are whole lines written at once: send them now
+            // rather than wait for the peer's delayed ACK (Nagle).
+            const int one = 1;
+            ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
+                         sizeof(one));
+        }
         auto conn = std::make_unique<Conn>();
         conn->fd = fd;
         conn->id = nextId_++;

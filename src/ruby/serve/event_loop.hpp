@@ -148,6 +148,8 @@ class EventLoop
     Conn *find(ConnId id);
 
     int listenFd_;
+    /** Accepted connections are TCP (they get TCP_NODELAY). */
+    bool tcpListener_ = false;
     std::size_t maxLineBytes_;
     Callbacks callbacks_;
 
