@@ -7,6 +7,7 @@
 #include <limits>
 #include <map>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -210,12 +211,14 @@ commitBlock(Search &s, Block &block)
  * cheapest check first (validity -> objective lower bound -> full
  * model). A draw whose bound cannot beat @p threshold is pruned; a
  * modeled draw that beats it tightens the threshold and becomes a
- * candidate.
+ * candidate. A modeled draw is assigned into the worker's reused
+ * @p modeled mapping; only a candidate is copied out of it.
  */
 void
 decideLane(const Search &s, const BatchEvaluator &batch,
            std::size_t lane, const Decisions &drawn, std::size_t j,
-           double &threshold, EvalScratch &scratch, Block &block)
+           double &threshold, EvalScratch &scratch,
+           std::optional<Mapping> &modeled, Block &block)
 {
     const SearchOptions &opts = s.opts;
     Verdict &v = block.verdicts[j];
@@ -227,15 +230,18 @@ decideLane(const Search &s, const BatchEvaluator &batch,
         v.fate = Fate::Pruned;
         return;
     }
-    Mapping mapping = s.space.materialize(drawn);
+    if (modeled)
+        modeled->assign(drawn);
+    else
+        modeled.emplace(s.space.materialize(drawn));
     batch.prepareScratch(lane, scratch);
-    s.evaluator.modelValidated(mapping, scratch);
+    s.evaluator.modelValidated(*modeled, scratch);
     v.fate = Fate::Modeled;
     v.metric = scratch.result.objective(opts.objective);
     if (v.metric < threshold) {
         threshold = v.metric;
         block.candidates.push_back(
-            Candidate{j, std::move(mapping), scratch.result});
+            Candidate{j, *modeled, scratch.result});
     }
 }
 
@@ -257,6 +263,7 @@ runWorker(Search &s, const CancelToken &cancel)
     const SearchOptions &opts = s.opts;
     FaultInjector &faults = FaultInjector::global();
     EvalScratch scratch;
+    std::optional<Mapping> modeled;
     BatchEvaluator batch(s.evaluator);
     EvalStats unused; // the commit counts batch calls, not run()
     std::vector<Decisions> drawn(kDefaultEvalBatch);
@@ -316,7 +323,7 @@ runWorker(Search &s, const CancelToken &cancel)
                 threshold,
                 s.committedBest.load(std::memory_order_relaxed));
             decideLane(s, batch, laneOf[j], drawn[j], j, threshold,
-                       scratch, block);
+                       scratch, modeled, block);
         }
         const auto commit0 = Clock::now();
         timers.evalNs += nsBetween(eval0, commit0);
