@@ -52,7 +52,7 @@ struct ServeOptions : FrontendOptions
  * The daemon. Lifecycle: construct -> start() -> (requests served on
  * internal threads) -> requestShutdown() from any thread or signal
  * via installSignalDrain() -> waitForShutdown() performs the drain
- * and joins every thread. The destructor drains if the caller did
+ * and stops every thread. The destructor drains if the caller did
  * not.
  */
 class Server : private Frontend::Handler
@@ -85,7 +85,7 @@ class Server : private Frontend::Handler
     /**
      * Block until shutdown is requested, then drain: stop accepting,
      * reject queued work, give inflight requests drainBudget to
-     * finish, cancel whatever remains, close sessions, join all
+     * finish, cancel whatever remains, close sessions, stop all
      * threads and emit the final stats line.
      */
     void waitForShutdown() { frontend_.waitForShutdown(); }
