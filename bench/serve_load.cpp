@@ -172,8 +172,9 @@ struct RunResult
     std::uint64_t reroutes = 0;
     bool allOk = true;
 
-    // Response cache (the single daemon's own cache, or the router's
-    // for the fleet run) over the whole benchmark.
+    // Response cache (the single daemon's own cache, or the sum of
+    // the backends' caches for the fleet run) over the whole
+    // benchmark.
     std::uint64_t respHits = 0;
     std::uint64_t respMisses = 0;
     std::uint64_t coalesced = 0;
@@ -351,11 +352,11 @@ runFleet(const std::vector<Request> &trace,
     RunResult out;
     replay(trace, "127.0.0.1", router.port(), out);
 
-    // The fleet's repeat traffic is absorbed by the ROUTER's own
-    // response cache — the epoch-tagged tier invalidated on backend
-    // flaps — so snapshot that block, not the backends' caches.
+    // The fleet's repeat traffic travels to each request's home
+    // backend and is replayed by that daemon's response cache, so
+    // snapshot the fleet roll-up of the backends' caches.
     const CacheSnapshot beforeRepeat = snapshotCache(
-        router.fleetStatsJson().at("router").at("responseCache"));
+        router.fleetStatsJson().at("fleet").at("responseCache"));
     RunResult repeat;
     replay(repeatTrace, "127.0.0.1", router.port(), repeat);
     out.repeatSeconds = repeat.seconds;
@@ -366,7 +367,7 @@ runFleet(const std::vector<Request> &trace,
     readStats(stats.at("fleet"), out);
     finishCacheMetrics(
         beforeRepeat,
-        snapshotCache(stats.at("router").at("responseCache")), out);
+        snapshotCache(stats.at("fleet").at("responseCache")), out);
     out.reroutes = stats.at("router").at("reroutes").asU64();
 
     router.requestShutdown();

@@ -94,7 +94,9 @@ struct GeneticOptions
     const CancelToken *cancel = nullptr;
 };
 
-/** Evolve mappings of @p space; returns the best valid one found. */
+/** Evolve mappings of @p space; returns the best valid one found.
+ *  A run whose populations never hold a valid member falls back to
+ *  the capacity-rejecting sampler for one valid draw. */
 SearchResult geneticSearch(const Mapspace &space,
                            const Evaluator &evaluator,
                            const GeneticOptions &options = {});

@@ -83,28 +83,21 @@ hitRate(std::uint64_t hits, std::uint64_t misses)
                        : 0.0;
 }
 
-bool
-Frontend::Handler::cacheTagValid(std::uint64_t) const
-{
-    return true;
-}
-
 void
 Frontend::Handler::addHealth(Health &) const
 {
 }
 
 Frontend::Frontend(const FrontendOptions &options, unsigned slots,
-                   Tier tier, Handler &handler)
+                   Tier tier, Handler &handler,
+                   std::unique_ptr<ResponseCache> responseCache)
     : options_(options),
       slotCount_(slots),
       tier_(tier),
       handler_(handler),
+      responseCache_(std::move(responseCache)),
       admission_(slots, options.queueCapacity)
 {
-    if (options_.responseCache)
-        responseCache_ = std::make_unique<ResponseCache>(
-            options_.responseCacheCapacity);
 }
 
 // ---------------------------------------------------------------------------
@@ -503,10 +496,7 @@ Frontend::dispatchSearch(EventLoop::ConnId id,
         key = responseCacheKey(*request);
     if (!key.empty()) {
         std::string cached;
-        if (responseCache_->lookup(key, cached,
-                                   [this](std::uint64_t tag) {
-                                       return handler_.cacheTagValid(tag);
-                                   })) {
+        if (responseCache_->lookup(key, cached)) {
             // Replay: the cached line is a full response to an
             // identical request; only the id needs this requester's.
             // The latency histogram and the tier's own counters are
@@ -610,9 +600,8 @@ Frontend::runSearch(EventLoop::ConnId id,
                     const std::string &key)
 {
     JsonValue response;
-    std::optional<std::uint64_t> cacheTag;
     try {
-        response = handler_.handle(*request, *line, cacheTag);
+        response = handler_.handle(*request, *line);
     } catch (const Error &e) {
         response = makeErrorResponse(request->id, kCodeUserError,
                                      "user-error", e.what());
@@ -629,13 +618,13 @@ Frontend::runSearch(EventLoop::ConnId id,
     // on slots_->waitIdle() (this job, respond() included) before
     // stopping the loop.
     admission_.release();
-    if (!key.empty() && responseCache_ != nullptr && cacheTag) {
+    if (!key.empty()) {
         // Only ok responses are cached: failures may be transient
         // (deadlines, drains) and must re-run, mirroring the layer
-        // memo's replay contract.
+        // memo's replay contract. (A key exists only with a cache.)
         const JsonValue *code = response.find("code");
         if (code != nullptr && code->asI64() == kCodeOk)
-            responseCache_->insert(key, writeJson(response), *cacheTag);
+            responseCache_->insert(key, writeJson(response));
     }
     respond(id, response, false);
     if (!key.empty())

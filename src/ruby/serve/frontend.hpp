@@ -15,7 +15,7 @@
  *  - strict per-connection ordering (one request inflight per
  *    connection, the rest queued, reads paused past a backlog);
  *  - the response cache and single-flight coalescing
- *    (response_cache.hpp);
+ *    (response_cache.hpp), for a tier that hands it a cache;
  *  - async admission (admission.hpp) onto a fixed pool of slot
  *    threads;
  *  - ping, stats and shutdown;
@@ -35,7 +35,6 @@
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <unordered_map>
 
@@ -55,7 +54,7 @@ namespace serve
 /** hits / (hits + misses), or 0 before the first probe. */
 double hitRate(std::uint64_t hits, std::uint64_t misses);
 
-/** Front-socket, queueing, caching and drain settings of a tier. */
+/** Front-socket, queueing and drain settings of a tier. */
 struct FrontendOptions
 {
     /** Unix-domain socket path; preferred when non-empty. */
@@ -68,14 +67,6 @@ struct FrontendOptions
 
     /** Requests allowed to wait for a slot before rejection. */
     std::size_t queueCapacity = 8;
-
-    /** Serve repeats of deterministic requests from a cache of raw
-     *  response lines, and coalesce identical inflight requests onto
-     *  one leader (single-flight). Replayed bytes are identical to a
-     *  fresh response's — only stats/ping gauges reveal the cache. */
-    bool responseCache = true;
-    /** Response-cache capacity (entries). */
-    std::size_t responseCacheCapacity = 1024;
 
     /** Grace period for inflight work on drain; what happens past it
      *  is the tier's choice (Frontend::Handler::drainBudgetExpired). */
@@ -120,18 +111,10 @@ class Frontend
       public:
         virtual ~Handler() = default;
 
-        /**
-         * Answer one admitted map/net request (slot thread). @p line
-         * is the request frame as received. Set @p cacheTag to let an
-         * ok response into the response cache under that tag; leave
-         * it empty to keep this response out.
-         */
+        /** Answer one admitted map/net request (slot thread). @p line
+         *  is the request frame as received. */
         virtual JsonValue handle(const Request &request,
-                                 const std::string &line,
-                                 std::optional<std::uint64_t> &cacheTag) = 0;
-
-        /** May a cached entry tagged @p tag still be replayed? */
-        virtual bool cacheTagValid(std::uint64_t tag) const;
+                                 const std::string &line) = 0;
 
         /** Add the tier's own gauges to a pong. */
         virtual void addHealth(Health &health) const;
@@ -152,9 +135,14 @@ class Frontend
         std::uint64_t connectionsAccepted = 0;
     };
 
-    /** @p slots concurrent searches or forwards. */
+    /** @p slots concurrent searches or forwards. With a
+     *  @p responseCache, repeats of deterministic requests are replayed
+     *  from it and identical inflight ones coalesce onto one leader
+     *  (single-flight); without one, every request reaches the
+     *  handler. */
     Frontend(const FrontendOptions &options, unsigned slots, Tier tier,
-             Handler &handler);
+             Handler &handler,
+             std::unique_ptr<ResponseCache> responseCache = nullptr);
 
     Frontend(const Frontend &) = delete;
     Frontend &operator=(const Frontend &) = delete;
@@ -276,7 +264,7 @@ class Frontend
     Handler &handler_;
 
     /** Raw response lines for deterministic repeats (null when the
-     *  response cache is off). */
+     *  tier caches nothing). */
     std::unique_ptr<ResponseCache> responseCache_;
     SingleFlight singleFlight_;
 

@@ -15,7 +15,7 @@ namespace
 {
 
 /** Shards bound lock contention, not correctness; 16 spreads the
- *  pipeline + worker threads of both tiers comfortably. */
+ *  pipeline and slot threads comfortably. */
 constexpr std::size_t kShards = 16;
 
 } // namespace
@@ -85,28 +85,18 @@ ResponseCache::shardFor(const std::string &key) const
 }
 
 bool
-ResponseCache::lookup(
-    const std::string &key, std::string &lineOut,
-    const std::function<bool(std::uint64_t)> &tagValid)
+ResponseCache::lookup(const std::string &key, std::string &lineOut)
 {
     Shard &shard = shardFor(key);
     {
         std::lock_guard<std::mutex> lock(shard.mutex);
         const auto it = shard.index.find(key);
         if (it != shard.index.end()) {
-            if (!tagValid || tagValid(it->second->tag)) {
-                lineOut = it->second->line;
-                // Refresh: move to the LRU front.
-                shard.lru.splice(shard.lru.begin(), shard.lru,
-                                 it->second);
-                hits_.fetch_add(1, std::memory_order_relaxed);
-                return true;
-            }
-            // Stale (the tag's owner invalidated it — e.g. the
-            // backend's health epoch moved): drop and miss.
-            shard.lru.erase(it->second);
-            shard.index.erase(it);
-            entries_.fetch_sub(1, std::memory_order_relaxed);
+            lineOut = it->second->line;
+            // Refresh: move to the LRU front.
+            shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
+            hits_.fetch_add(1, std::memory_order_relaxed);
+            return true;
         }
     }
     misses_.fetch_add(1, std::memory_order_relaxed);
@@ -114,19 +104,17 @@ ResponseCache::lookup(
 }
 
 void
-ResponseCache::insert(const std::string &key, std::string line,
-                      std::uint64_t tag)
+ResponseCache::insert(const std::string &key, std::string line)
 {
     Shard &shard = shardFor(key);
     std::lock_guard<std::mutex> lock(shard.mutex);
     const auto it = shard.index.find(key);
     if (it != shard.index.end()) {
         it->second->line = std::move(line);
-        it->second->tag = tag;
         shard.lru.splice(shard.lru.begin(), shard.lru, it->second);
         return;
     }
-    shard.lru.push_front(Entry{key, std::move(line), tag});
+    shard.lru.push_front(Entry{key, std::move(line)});
     shard.index.emplace(key, shard.lru.begin());
     entries_.fetch_add(1, std::memory_order_relaxed);
     while (shard.lru.size() > perShardCapacity_) {

@@ -3,10 +3,9 @@
  * Fingerprint-keyed response caching + single-flight coalescing for
  * the serving stack.
  *
- * Both the daemon and the router answer the same question at
- * different tiers: "have I already produced (or am I currently
- * producing) the bytes for this exact request?" The key is the full
- * canonical request — config/shape *and* search options, everything
+ * The daemon answers one question before it searches: "have I
+ * already produced (or am I currently producing) the bytes for this
+ * exact request?" The key is the full canonical request — config/shape *and* search options, everything
  * except the client-chosen `id` — so two requests share an entry only
  * when the search they describe is semantically identical.
  *
@@ -31,7 +30,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -66,10 +64,9 @@ JsonValue restampResponseId(JsonValue response, const std::string &id);
 /**
  * A capacity-bounded sharded LRU of raw response lines, keyed by the
  * canonical request string (collision-free: the full key is compared,
- * hashing only picks the shard). Entries carry an opaque @c tag the
- * owner may validate at lookup time — the router tags entries with
- * the owning backend's health epoch so a restarted shard cannot serve
- * stale bytes.
+ * hashing only picks the shard). The cache lives in the process that
+ * produced its lines, so an entry never outlives its producer and
+ * needs no invalidation.
  */
 class ResponseCache
 {
@@ -87,19 +84,13 @@ class ResponseCache
     ResponseCache(const ResponseCache &) = delete;
     ResponseCache &operator=(const ResponseCache &) = delete;
 
-    /**
-     * Copy the cached line for @p key into @p lineOut; true on a hit.
-     * When @p tagValid is set and rejects the entry's tag, the stale
-     * entry is dropped and the probe counts as a miss.
-     */
-    bool lookup(const std::string &key, std::string &lineOut,
-                const std::function<bool(std::uint64_t)> &tagValid =
-                    {});
+    /** Copy the cached line for @p key into @p lineOut; true on a
+     *  hit. */
+    bool lookup(const std::string &key, std::string &lineOut);
 
     /** Insert (or refresh) @p key -> @p line, evicting LRU entries
      *  past the shard capacity. */
-    void insert(const std::string &key, std::string line,
-                std::uint64_t tag = 0);
+    void insert(const std::string &key, std::string line);
 
     Stats stats() const;
     std::size_t capacity() const { return capacity_; }
@@ -109,7 +100,6 @@ class ResponseCache
     {
         std::string key;
         std::string line;
-        std::uint64_t tag = 0;
     };
 
     struct Shard

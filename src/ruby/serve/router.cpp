@@ -306,22 +306,13 @@ Router::checkBackend(std::size_t index)
     try {
         Client client = Client::connect(backend.endpoint);
         const Health health = client.ping();
-        const bool wasDraining =
-            backend.draining.exchange(health.draining);
+        backend.draining.store(health.draining);
         const bool wasHealthy = backend.healthy.exchange(health.ok);
-        // Every observed flap moves the epoch: a backend seen
-        // unhealthy/draining and back may be a different process
-        // with different configuration, so its cached responses
-        // must not outlive the transition.
-        if (wasHealthy != health.ok ||
-            wasDraining != health.draining)
-            bumpEpoch(index);
         if (!wasHealthy && health.ok)
             frontend_.log(detail::composeMessage(
                 "backend ", backend.endpoint.describe(), " recovered"));
     } catch (const std::exception &) {
         if (backend.healthy.exchange(false)) {
-            bumpEpoch(index);
             dropConnections(index);
             frontend_.log(detail::composeMessage(
                 "backend ", backend.endpoint.describe(), " unhealthy"));
@@ -333,16 +324,12 @@ Router::checkBackend(std::size_t index)
 // Forwarding
 
 JsonValue
-Router::handle(const Request &request, const std::string &line,
-               std::optional<std::uint64_t> &cacheTag)
+Router::handle(const Request &request, const std::string &line)
 {
     const auto begin = std::chrono::steady_clock::now();
     JsonValue response;
-    std::size_t servedBy = backends_.size();
     try {
-        response =
-            forwardToFleet(routingKey(request), request.id, line,
-                           servedBy);
+        response = forwardToFleet(routingKey(request), request.id, line);
     } catch (const std::exception &e) {
         response = makeErrorResponse(request.id, kCodeInternal,
                                      "internal", e.what());
@@ -350,46 +337,13 @@ Router::handle(const Request &request, const std::string &line,
     frontend_.recordLatency(
         std::chrono::duration_cast<std::chrono::microseconds>(
             std::chrono::steady_clock::now() - begin));
-    // Only a backend's answer may be cached, tagged with that
-    // backend's current epoch.
-    if (servedBy < backends_.size())
-        cacheTag = this->cacheTag(servedBy);
     return response;
-}
-
-std::uint64_t
-Router::cacheTag(std::size_t index) const
-{
-    // Backend index in the top 16 bits, its health epoch below: one
-    // word identifies "these bytes came from backend i during its
-    // e-th healthy stretch".
-    return (static_cast<std::uint64_t>(index) << 48) |
-           (backends_[index]->epoch.load(std::memory_order_relaxed) &
-            0xffffffffffffull);
-}
-
-bool
-Router::cacheTagValid(std::uint64_t tag) const
-{
-    const std::size_t index = static_cast<std::size_t>(tag >> 48);
-    if (index >= backends_.size())
-        return false;
-    return (tag & 0xffffffffffffull) ==
-           (backends_[index]->epoch.load(std::memory_order_relaxed) &
-            0xffffffffffffull);
-}
-
-void
-Router::bumpEpoch(std::size_t index)
-{
-    backends_[index]->epoch.fetch_add(1, std::memory_order_relaxed);
 }
 
 JsonValue
 Router::forwardToFleet(const std::string &key,
                        const std::string &requestId,
-                       const std::string &line,
-                       std::size_t &servedBy)
+                       const std::string &line)
 {
     // Forward the parsed request object — the codec is a fixpoint
     // (raw number tokens round-trip), so the re-encoded frame the
@@ -415,8 +369,7 @@ Router::forwardToFleet(const std::string &key,
             // Connect failure, or a drop that outlived the retry
             // budget: the backend is gone — fail over. The health
             // loop readmits it when it answers pings again.
-            if (backend.healthy.exchange(false))
-                bumpEpoch(index);
+            backend.healthy.store(false);
             dropConnections(index);
             lastError = e.what();
         }
@@ -427,11 +380,8 @@ Router::forwardToFleet(const std::string &key,
             if (code != nullptr && code->asI64() == kCodeRejected &&
                 kind != nullptr && kind->string == "draining") {
                 // Rolling restart in progress: this shard is going
-                // away; its keys re-hash onto the survivors (and its
-                // cached responses expire with its epoch — the
-                // restarted process may be configured differently).
-                if (!backend.draining.exchange(true))
-                    bumpEpoch(index);
+                // away; its keys re-hash onto the survivors.
+                backend.draining.store(true);
                 excluded[index] = true;
                 ++reroutes_;
                 lastError = "backend draining: " +
@@ -439,7 +389,6 @@ Router::forwardToFleet(const std::string &key,
                 continue;
             }
             backend.routed.fetch_add(1, std::memory_order_relaxed);
-            servedBy = index;
             return response;
         }
         excluded[index] = true;
@@ -477,8 +426,7 @@ Router::fleetStatsJson()
             backendStats[i] = reply.at("stats");
             storeConnection(i, std::move(client));
         } catch (const std::exception &) {
-            if (backend.healthy.exchange(false))
-                bumpEpoch(i);
+            backend.healthy.store(false);
             dropConnections(i);
         }
     }
@@ -509,9 +457,6 @@ Router::fleetStatsJson()
     router.set("backendsHealthy", JsonValue::makeU64(healthyCount));
     router.set("backendsTotal",
                JsonValue::makeU64(backends_.size()));
-    // The router's own response cache + single-flight gauges, in the
-    // daemon's block shape.
-    router.set("responseCache", frontend_.responseCacheJson());
     out.set("router", std::move(router));
     out.set("latency", frontend_.latencyJson());
 
@@ -573,8 +518,8 @@ Router::fleetStatsJson()
             accumulateU64(*memo, "entries", memoEntries);
         }
         // Fan-in: the fleet's cache effectiveness is the sum over
-        // the backends' daemon-side caches (absent on pre-cache
-        // backends — getU64 defaults to zero).
+        // the backends' response caches, the only cache tier (absent
+        // on pre-cache backends — getU64 defaults to zero).
         if (const JsonValue *resp = stats.find("responseCache")) {
             accumulateU64(*resp, "hits", respHits);
             accumulateU64(*resp, "misses", respMisses);

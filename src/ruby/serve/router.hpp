@@ -34,10 +34,11 @@
  * is what a rolling restart wants.
  *
  * The router is the daemon's serving frontend (frontend.hpp) with a
- * forwarding handler: the same listener, pipeline, response cache,
- * admission and drain, with forwards in place of searches. Its cache
- * entries are tagged with the owning backend's health epoch, and its
- * drain waits out inflight forwards instead of cancelling them.
+ * forwarding handler: the same listener, pipeline, admission and
+ * drain, with forwards in place of searches. It caches nothing: a
+ * repeat travels to its home backend, whose response cache replays
+ * it and whose single-flight coalesces identical inflight requests.
+ * Its drain waits out inflight forwards instead of cancelling them.
  */
 
 #ifndef RUBY_SERVE_ROUTER_HPP
@@ -97,10 +98,8 @@ class ConsistentRing
     std::vector<std::pair<std::uint64_t, std::size_t>> ring_;
 };
 
-/** Router configuration; the front socket, queue, response cache and
- *  drain budget come from FrontendOptions. Router cache entries are
- *  invalidated when the owning backend health-flaps (per-backend
- *  epoch), so a restarted shard never serves stale bytes. */
+/** Router configuration; the front socket, queue and drain budget
+ *  come from FrontendOptions. */
 struct RouterOptions : FrontendOptions
 {
     /** A router queues deeper than a daemon by default. */
@@ -181,34 +180,21 @@ class Router : private Frontend::Handler
         std::atomic<bool> draining{false};
         std::atomic<unsigned> inflight{0};
         std::atomic<std::uint64_t> routed{0};
-        /** Health epoch: bumped on every flap (lost, recovered,
-         *  draining detected). Response-cache entries are tagged
-         *  with the epoch they were produced under and lazily
-         *  dropped once it moves. */
-        std::atomic<std::uint64_t> epoch{0};
         // Idle pooled connections (guarded by poolMutex).
         std::mutex poolMutex;
         std::vector<Client> pool;
     };
 
     // Frontend::Handler: forward to the fleet.
-    JsonValue handle(const Request &request, const std::string &line,
-                     std::optional<std::uint64_t> &cacheTag) override;
-    bool cacheTagValid(std::uint64_t tag) const override;
+    JsonValue handle(const Request &request,
+                     const std::string &line) override;
     JsonValue stats() override { return fleetStatsJson(); }
     void drainBudgetExpired() override;
 
-    /** Forward @p line for @p key, failing over across backends.
-     *  @p servedBy gets the index of the backend that answered
-     *  (backends.size() when none did). */
+    /** Forward @p line for @p key, failing over across backends. */
     JsonValue forwardToFleet(const std::string &key,
                              const std::string &requestId,
-                             const std::string &line,
-                             std::size_t &servedBy);
-    /** Epoch tag for a cache entry owned by backend @p index. */
-    std::uint64_t cacheTag(std::size_t index) const;
-    /** Bump @p index's epoch (call on every health transition). */
-    void bumpEpoch(std::size_t index);
+                             const std::string &line);
 
     /** Pick a backend for @p key: healthy, not excluded, within the
      *  load bound (any healthy non-excluded one when all are over).

@@ -24,7 +24,11 @@ const Frontend::Tier kDaemonTier = {
 
 Server::Server(ServeOptions options)
     : options_(std::move(options)),
-      frontend_(options_, options_.maxInflight, kDaemonTier, *this)
+      frontend_(options_, options_.maxInflight, kDaemonTier, *this,
+                options_.responseCache
+                    ? std::make_unique<ResponseCache>(
+                          options_.responseCacheCapacity)
+                    : nullptr)
 {
 }
 
@@ -35,14 +39,10 @@ Server::~Server()
 }
 
 JsonValue
-Server::handle(const Request &request, const std::string &,
-               std::optional<std::uint64_t> &cacheTag)
+Server::handle(const Request &request, const std::string &)
 {
-    JsonValue response = request.type == RequestType::Map
-                             ? runMap(request)
-                             : runNet(request);
-    cacheTag = 0;
-    return response;
+    return request.type == RequestType::Map ? runMap(request)
+                                            : runNet(request);
 }
 
 void

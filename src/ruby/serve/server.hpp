@@ -13,8 +13,9 @@
  * budget, flush a final stats line).
  *
  * I/O, ordering, caching, admission and drain are the shared serving
- * frontend's (frontend.hpp); the daemon plugs in "search locally" and
- * cancels inflight searches once the drain budget expires.
+ * frontend's (frontend.hpp); the daemon plugs in "search locally",
+ * owns the serving stack's one response cache, and cancels inflight
+ * searches once the drain budget expires.
  *
  * Determinism contract: a request against a cold daemon produces
  * results bit-identical to the same offline run — the cross-request
@@ -39,13 +40,21 @@ namespace ruby
 namespace serve
 {
 
-/** Daemon configuration; the front socket, queue, response cache
- *  and drain budget come from FrontendOptions. Past the drain budget
- *  the drain CancelToken fires and searches return best-so-far. */
+/** Daemon configuration; the front socket, queue and drain budget
+ *  come from FrontendOptions. Past the drain budget the drain
+ *  CancelToken fires and searches return best-so-far. */
 struct ServeOptions : FrontendOptions
 {
     /** Concurrent search slots. */
     unsigned maxInflight = 2;
+
+    /** Serve repeats of deterministic requests from a cache of raw
+     *  response lines, and coalesce identical inflight requests onto
+     *  one leader (single-flight). Replayed bytes are identical to a
+     *  fresh response's — only stats/ping gauges reveal the cache. */
+    bool responseCache = true;
+    /** Response-cache capacity (entries). */
+    std::size_t responseCacheCapacity = 1024;
 };
 
 /**
@@ -118,8 +127,8 @@ class Server : private Frontend::Handler
     };
 
     // Frontend::Handler: search locally.
-    JsonValue handle(const Request &request, const std::string &line,
-                     std::optional<std::uint64_t> &cacheTag) override;
+    JsonValue handle(const Request &request,
+                     const std::string &line) override;
     void addHealth(Health &health) const override;
     JsonValue stats() override { return statsJson(); }
     void drainBudgetExpired() override;

@@ -311,10 +311,11 @@ runWireFuzz(const WireFuzzConfig &config)
                 requests.at("queued").asU64();
             // Single-flight hygiene: no open flight and no parked
             // follower may survive the storm — a leaked follower is
-            // a connection waiting forever for a response.
+            // a connection waiting forever for a response. Behind a
+            // router the flights live on the backends, summed here.
             const serve::JsonValue &cache =
                 router != nullptr
-                    ? stats.at("router").at("responseCache")
+                    ? stats.at("fleet").at("responseCache")
                     : stats.at("responseCache");
             const std::uint64_t flights =
                 cache.at("flights").asU64();

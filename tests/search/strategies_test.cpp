@@ -150,6 +150,35 @@ TEST(GeneticSearch, MoreGenerationsNeverHurt)
     EXPECT_LE(l.bestResult.edp, s.bestResult.edp * (1 + 1e-12));
 }
 
+/**
+ * About 0.7 % of draws for DeepBench's vision_vgg_l4 fit Eyeriss, so
+ * the default population of 64 holds no valid member and breeding
+ * never reaches one. The run then redraws with the capacity-rejecting
+ * sampler; the rejected draws are charged on top of the population +
+ * generations x (population - elites) evaluations.
+ */
+TEST(GeneticSearch, RareValidMappingsAreFoundWithDefaultOptions)
+{
+    ConvShape shape;
+    for (const Layer &layer : deepbenchLayers())
+        if (layer.shape.name == "vision_vgg_l4")
+            shape = layer.shape;
+    ASSERT_EQ(shape.name, "vision_vgg_l4");
+    SearchOptions opts;
+    opts.strategy = SearchStrategy::Genetic;
+    const LayerOutcome out =
+        searchLayer(makeConv(shape), makeEyeriss(),
+                    ConstraintPreset::EyerissRS, MapspaceVariant::RubyS,
+                    opts);
+    ASSERT_TRUE(out.found) << out.diagnostic;
+    EXPECT_TRUE(out.result.valid);
+    const GeneticOptions defaults;
+    EXPECT_GT(out.evaluated,
+              defaults.populationSize +
+                  std::uint64_t{defaults.generations} *
+                      (defaults.populationSize - defaults.elites));
+}
+
 TEST(GeneticSearch, RejectsDegenerateConfigs)
 {
     StrategyFixture fx;

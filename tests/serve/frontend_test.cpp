@@ -537,17 +537,6 @@ const char *kRouterStatsGolden =
     "router.rejectedDraining\n"
     "router.backendsHealthy\n"
     "router.backendsTotal\n"
-    "router.responseCache\n"
-    "router.responseCache.enabled\n"
-    "router.responseCache.hits\n"
-    "router.responseCache.misses\n"
-    "router.responseCache.evictions\n"
-    "router.responseCache.entries\n"
-    "router.responseCache.capacity\n"
-    "router.responseCache.hitRate\n"
-    "router.responseCache.coalesced\n"
-    "router.responseCache.coalescedWaiting\n"
-    "router.responseCache.flights\n"
     "latency\n"
     "latency.count\n"
     "latency.totalMs\n"

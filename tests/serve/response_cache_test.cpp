@@ -2,7 +2,7 @@
  * @file
  * Unit tests for the serving response cache: key canonicalization
  * (what is and is not eligible), id re-stamping, the sharded LRU's
- * hit/miss/eviction/tag behavior, and SingleFlight's leader/follower
+ * hit/miss/eviction behavior, and SingleFlight's leader/follower
  * bookkeeping.
  */
 
@@ -159,32 +159,6 @@ TEST(ResponseCache, EvictsLeastRecentlyUsedAtCapacity)
     const ResponseCache::Stats stats = cache.stats();
     EXPECT_EQ(stats.evictions, 1u);
     EXPECT_EQ(stats.entries, 1u);
-}
-
-TEST(ResponseCache, StaleTagDropsTheEntry)
-{
-    ResponseCache cache(8);
-    cache.insert("k", "line", /*tag=*/3);
-    std::string out;
-    // A validator that rejects the tag turns the probe into a miss
-    // and drops the entry for good.
-    EXPECT_FALSE(cache.lookup(
-        "k", out, [](std::uint64_t tag) { return tag != 3; }));
-    EXPECT_FALSE(cache.lookup("k", out));
-    const ResponseCache::Stats stats = cache.stats();
-    EXPECT_EQ(stats.hits, 0u);
-    EXPECT_EQ(stats.misses, 2u);
-    EXPECT_EQ(stats.entries, 0u);
-}
-
-TEST(ResponseCache, ValidTagStillHits)
-{
-    ResponseCache cache(8);
-    cache.insert("k", "line", /*tag=*/3);
-    std::string out;
-    EXPECT_TRUE(cache.lookup(
-        "k", out, [](std::uint64_t tag) { return tag == 3; }));
-    EXPECT_EQ(out, "line");
 }
 
 SingleFlight::Waiter

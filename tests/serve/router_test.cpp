@@ -2,7 +2,8 @@
  * @file
  * Router tests: consistent-ring determinism and coverage, routing-key
  * composition (architecture + shape, never search options), raw
- * byte-identity of routed responses, failover when a backend dies
+ * byte-identity of routed responses, repeats replayed by the home
+ * daemon (and re-run after it restarts), failover when a backend dies
  * mid-trace (in-flight requests surface their true outcome; later
  * keys re-hash onto the survivors), a backend that is dead at boot
  * never receiving a key, and the aggregated fleet stats report
@@ -265,17 +266,18 @@ TEST(Router, RoutedResponseIsByteIdenticalToDirect)
 }
 
 /**
- * A repeated deterministic request is served from the router's own
- * response cache: the bytes match the first response (id aside) and
- * no backend runs a second search.
+ * The router caches nothing: a repeated deterministic request travels
+ * to its home backend, whose response cache replays it. The bytes
+ * match the first response (id aside) and the fleet ran one search.
  */
-TEST(Router, ServesDeterministicRepeatsFromItsCache)
+TEST(Router, RepeatsAreReplayedByTheHomeDaemon)
 {
     Fleet fleet(2);
     Client client = fleet.connect();
 
-    const std::string rawFirst = client.callRaw(
-        writeJson(encodeRequest(mapRequest("r1", quickConfig(8)))));
+    const Request firstRequest = mapRequest("r1", quickConfig(8));
+    const std::string rawFirst =
+        client.callRaw(writeJson(encodeRequest(firstRequest)));
     const JsonValue first = parseJson(rawFirst);
     ASSERT_EQ(first.at("code").asU64(), 0u) << rawFirst;
 
@@ -285,25 +287,25 @@ TEST(Router, ServesDeterministicRepeatsFromItsCache)
               writeJson(restampResponseId(first, "r2")));
 
     const JsonValue stats = fleet.router->fleetStatsJson();
-    const JsonValue &cache =
-        stats.at("router").at("responseCache");
-    EXPECT_TRUE(cache.at("enabled").asBool());
-    EXPECT_EQ(cache.at("hits").asU64(), 1u);
-    EXPECT_EQ(cache.at("misses").asU64(), 1u);
-    EXPECT_EQ(cache.at("entries").asU64(), 1u);
-    // The whole fleet ran exactly one search: the repeat never
-    // touched a backend.
-    EXPECT_EQ(stats.at("fleet").at("latency").at("count").asU64(),
-              1u);
+    EXPECT_EQ(stats.at("router").find("responseCache"), nullptr);
+    const JsonValue &fleetStats = stats.at("fleet");
+    // Exactly one search ran; the repeat was a daemon-cache hit.
+    EXPECT_EQ(fleetStats.at("latency").at("count").asU64(), 1u);
+    EXPECT_EQ(fleetStats.at("responseCache").at("hits").asU64(), 1u);
+    // Both requests went to the key's home backend.
+    const std::size_t home =
+        fleet.router->preferredBackend(Router::routingKey(firstRequest));
+    ASSERT_LT(home, fleet.backends.size());
+    EXPECT_EQ(stats.at("backends").array[home].at("routed").asU64(), 2u);
 }
 
 /**
- * A health flap invalidates the flapped backend's cache entries: a
- * repeat after the owning backend restarts is re-forwarded (the
- * restarted daemon re-runs the deterministic search and produces the
- * same bytes), never replayed from the stale entry.
+ * A backend restart cannot serve stale bytes: the cache lived in the
+ * old process and went with it. A repeat after the restart reaches
+ * the fresh daemon, which re-runs the deterministic search and
+ * produces the same bytes.
  */
-TEST(Router, CacheInvalidatesOnBackendFlap)
+TEST(Router, RestartedBackendReRunsTheSearch)
 {
     Fleet fleet(1);
     Client client = fleet.connect();
@@ -313,7 +315,7 @@ TEST(Router, CacheInvalidatesOnBackendFlap)
     const JsonValue first = parseJson(rawFirst);
     ASSERT_EQ(first.at("code").asU64(), 0u) << rawFirst;
 
-    // Repeat before the flap: a straight router-cache hit.
+    // Repeat before the restart: a hit in the backend's cache.
     const std::string rawSecond = client.callRaw(
         writeJson(encodeRequest(mapRequest("f2", quickConfig(8)))));
     EXPECT_EQ(rawSecond,
@@ -349,25 +351,18 @@ TEST(Router, CacheInvalidatesOnBackendFlap)
         std::this_thread::sleep_for(milliseconds(20));
     }
 
-    // The repeat after the flap must re-forward — the fresh cold
-    // daemon runs the identical deterministic search — and still
-    // produce the same bytes.
     const std::string rawThird = client.callRaw(
         writeJson(encodeRequest(mapRequest("f3", quickConfig(8)))));
     EXPECT_EQ(rawThird,
               writeJson(restampResponseId(first, "f3")));
 
+    // The fleet is the fresh daemon alone: its cache missed once and
+    // it really ran the search.
     const JsonValue stats = fleet.router->fleetStatsJson();
-    const JsonValue &cache =
-        stats.at("router").at("responseCache");
-    // Only the pre-flap repeat hit; the post-flap probe dropped the
-    // stale entry and counted as a miss before re-forwarding.
-    EXPECT_EQ(cache.at("hits").asU64(), 1u);
-    EXPECT_EQ(cache.at("misses").asU64(), 2u);
-    EXPECT_EQ(cache.at("entries").asU64(), 1u);
-    // The restarted daemon really ran the search.
-    EXPECT_EQ(stats.at("fleet").at("latency").at("count").asU64(),
-              1u);
+    const JsonValue &fleetStats = stats.at("fleet");
+    EXPECT_EQ(fleetStats.at("responseCache").at("hits").asU64(), 0u);
+    EXPECT_EQ(fleetStats.at("responseCache").at("misses").asU64(), 1u);
+    EXPECT_EQ(fleetStats.at("latency").at("count").asU64(), 1u);
 }
 
 TEST(Router, FailoverWhenABackendDiesMidTrace)

@@ -241,8 +241,9 @@ def check_serve_load(gate, data):
     # Response-cache effectiveness is deterministic (the repeat
     # segment replays identical eligible requests against a warm
     # cache), so its floor holds on any host: nearly every repeat
-    # must be served from the cache (hit or coalesced), on the
-    # daemon's own cache and on the router's epoch-tagged tier alike.
+    # must be served from the cache (hit or coalesced), on the single
+    # daemon's cache and on the fleet's backend caches (a routed
+    # repeat is replayed by its home daemon) alike.
     for name, run in (("single daemon", single), ("fleet", fleet)):
         gate.check(
             run["repeat_hit_rate"] >= 0.9,

@@ -40,7 +40,8 @@
  * shared caches, admission control, graceful drain on SIGTERM — see
  * docs/SERVING.md): --unix PATH or --host H --port N (port 0 binds an
  * ephemeral port and logs it), --max-inflight N, --queue-capacity N,
- * --drain-budget MS, --quiet.
+ * --drain-budget MS, --[no-]response-cache, --response-cache-capacity
+ * N, --quiet.
  *
  * `route` runs ruby-router, the consistent-hash front for a fleet of
  * daemons (see docs/SERVING.md "Fleet topology"): repeatable
@@ -154,10 +155,8 @@ usage()
            "          [--replicas N] [--load-factor X]\n"
            "          [--health-interval MS] [--forwarders N]\n"
            "          [--queue-capacity N] [--retry N]\n"
-           "          [--retry-budget MS] [--drain-budget MS]\n"
-           "          [--[no-]response-cache]"
-           " [--response-cache-capacity N]\n"
-           "          [--quiet]\n"
+           "          [--retry-budget MS] [--drain-budget MS]"
+           " [--quiet]\n"
            "  ruby-map remote (--unix PATH | --host H --port N)\n"
            "          [--retry N] [--retry-budget MS]\n"
            "          ( map <config.yaml> [map overrides]\n"
@@ -540,8 +539,7 @@ runSuites(const std::vector<std::string> &args)
 
 /**
  * Consume one front-socket flag shared by `serve` and `route`:
- * --unix, --host, --port, --queue-capacity, --drain-budget,
- * --[no-]response-cache, --response-cache-capacity, --quiet.
+ * --unix, --host, --port, --queue-capacity, --drain-budget, --quiet.
  * Returns false when the flag is not one of them.
  */
 bool
@@ -568,13 +566,6 @@ applyFrontendFlag(const std::string &flag,
     else if (flag == "--drain-budget")
         options.drainBudget =
             std::chrono::milliseconds(parseU64Arg(flag, next()));
-    else if (flag == "--response-cache")
-        options.responseCache = true;
-    else if (flag == "--no-response-cache")
-        options.responseCache = false;
-    else if (flag == "--response-cache-capacity")
-        options.responseCacheCapacity =
-            static_cast<std::size_t>(parseU64Arg(flag, next()));
     else if (flag == "--quiet")
         options.logLifecycle = false;
     else
@@ -598,6 +589,13 @@ runServe(const std::vector<std::string> &args)
         if (flag == "--max-inflight")
             options.maxInflight =
                 static_cast<unsigned>(parseU64Arg(flag, next()));
+        else if (flag == "--response-cache")
+            options.responseCache = true;
+        else if (flag == "--no-response-cache")
+            options.responseCache = false;
+        else if (flag == "--response-cache-capacity")
+            options.responseCacheCapacity =
+                static_cast<std::size_t>(parseU64Arg(flag, next()));
         else
             unknownFlag(flag);
     }
