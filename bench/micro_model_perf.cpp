@@ -89,34 +89,44 @@ BM_SampleInto(benchmark::State &state)
 }
 BENCHMARK(BM_SampleInto);
 
-/** The random search's whole candidate-generation stage per batch:
- *  draw kDefaultEvalBatch keyed draws and ingest the completed ones
- *  flat (items = draws). */
+/** Random search's screening of one keyed draw: the tiling phase
+ *  (stopping at the first capacity overflow), the bound from its
+ *  serial-step product, and the loop orders only for a draw whose
+ *  bound is under a fixed threshold, as a survivor's are. The
+ *  threshold is the median bound of a warm-up stream's completed
+ *  draws. Items are draws. */
 void
-BM_SampleIngestBatch(benchmark::State &state)
+BM_SampleScreen(benchmark::State &state)
 {
     const MappingConstraints cons =
         MappingConstraints::eyerissRowStationary(resnetLayer(),
                                                  eyeriss());
     const Mapspace space(cons, MapspaceVariant::RubyS);
     const Evaluator eval(resnetLayer(), eyeriss());
-    BatchEvaluator batch(eval);
-    std::vector<Decisions> drawn(kDefaultEvalBatch);
+    Decisions decisions;
+    std::vector<double> bounds;
+    for (std::uint64_t i = 0; bounds.size() < 1000; ++i) {
+        Rng rng = Rng::keyed(2, i);
+        double cycles = 0;
+        if (space.sampleTiling(rng, decisions, cycles))
+            bounds.push_back(eval.boundFromCycles(cycles, Objective::EDP));
+    }
+    std::nth_element(bounds.begin(), bounds.begin() + 500, bounds.end());
+    const double threshold = bounds[500];
     std::uint64_t index = 0;
     for (auto _ : state) {
-        batch.begin(kDefaultEvalBatch);
-        for (Decisions &d : drawn) {
-            Rng rng = Rng::keyed(1, index++);
-            if (space.sampleInto(rng, d))
-                batch.add(d);
-        }
-        benchmark::DoNotOptimize(batch.size());
+        Rng rng = Rng::keyed(1, index++);
+        double cycles = 0;
+        if (space.sampleTiling(rng, decisions, cycles) &&
+            eval.boundFromCycles(cycles, Objective::EDP) < threshold)
+            space.sampleOrders(rng, decisions);
+        benchmark::DoNotOptimize(cycles);
+        benchmark::DoNotOptimize(decisions.perms.data());
         benchmark::ClobberMemory();
     }
-    state.SetItemsProcessed(static_cast<std::int64_t>(
-        state.iterations() * kDefaultEvalBatch));
+    state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
-BENCHMARK(BM_SampleIngestBatch);
+BENCHMARK(BM_SampleScreen);
 
 void
 BM_EvaluateMapping(benchmark::State &state)

@@ -13,17 +13,21 @@ namespace ruby
 namespace
 {
 
-/** A uniform pick among the divisors in @p divs (ascending) that do
+/** A uniform pick among the divisors in @p list (ascending) that do
  *  not exceed @p cap; cap 0 means no limit. */
-std::uint64_t
-pickDivisor(const std::vector<std::uint64_t> &divs, std::uint64_t cap,
+const DivisorLists::Entry &
+pickDivisor(std::span<const DivisorLists::Entry> list, std::uint64_t cap,
             Rng &rng)
 {
     const auto usable = static_cast<std::size_t>(
-        cap == 0 ? divs.size()
-                 : std::upper_bound(divs.begin(), divs.end(), cap) -
-                       divs.begin());
-    return divs[rng.below(usable)];
+        cap == 0 ? list.size()
+                 : std::upper_bound(list.begin(), list.end(), cap,
+                                    [](std::uint64_t c,
+                                       const DivisorLists::Entry &e) {
+                                        return c < e.divisor;
+                                    }) -
+                       list.begin());
+    return list[rng.below(usable)];
 }
 
 } // namespace
@@ -62,7 +66,7 @@ imperfectTemporal(MapspaceVariant variant)
 Mapspace::Mapspace(const MappingConstraints &constraints,
                    MapspaceVariant variant)
     : constraints_(&constraints), variant_(variant),
-      divisors_(std::make_unique<DivisorTables>())
+      tables_(std::make_unique<DrawTables>())
 {
     const int nd = problem().numDims();
     RUBY_CHECK(nd <= kMaxDims, "mapspace: ", nd,
@@ -100,56 +104,133 @@ Mapspace::slotImperfect(int slot) const
 }
 
 void
-Mapspace::DivisorTables::build(const Problem &prob)
+DivisorLists::addDim(std::uint64_t size)
 {
-    dims.resize(static_cast<std::size_t>(prob.numDims()));
-    for (DimId d = 0; d < prob.numDims(); ++d) {
-        Dim &dim = dims[static_cast<std::size_t>(d)];
-        dim.size = prob.dimSize(d);
-        dim.split = 1;
-        while ((dim.split + 1) * (dim.split + 1) <= dim.size)
-            ++dim.split;
-        dim.byM = lists.size();
-        const std::size_t byK = dim.byM + dim.split + 1;
-        lists.resize(byK + ceilDiv(dim.size, dim.split + 1) + 1);
-        // Every reachable remaining count, largest first: m = ceil(D /
-        // k), and the next k is the first with ceil(D / k) < m.
-        for (std::uint64_t k = 1;;) {
-            const std::uint64_t m = ceilDiv(dim.size, k);
-            lists[m <= dim.split ? dim.byM + m : byK + k] = divisors(m);
-            if (m == 1)
-                break;
-            k = ceilDiv(dim.size, m - 1);
-        }
+    Dim dim;
+    dim.size = size;
+    while ((dim.split + 1) * (dim.split + 1) <= size)
+        ++dim.split;
+    dim.base = begin_.size() - 1;
+    dims_.push_back(dim);
+    const DimId d = static_cast<DimId>(dims_.size() - 1);
+    // Every reachable count by id, then each list in id order (ids no
+    // count maps to stay empty). m = ceil(D / k) for every k, and the
+    // next k is the first with ceil(D / k) < m.
+    std::vector<std::uint64_t> countOf(
+        dim.split + 2 + ceilDiv(size, dim.split + 1), 0);
+    for (std::uint64_t k = 1;;) {
+        const std::uint64_t m = ceilDiv(size, k);
+        countOf[id(d, m) - dim.base] = m;
+        if (m == 1)
+            break;
+        k = ceilDiv(size, m - 1);
+    }
+    for (const std::uint64_t m : countOf) {
+        if (m != 0)
+            for (const std::uint64_t p : divisors(m))
+                entries_.push_back(Entry{p, m / p, id(d, m / p)});
+        begin_.push_back(entries_.size());
     }
 }
 
-const Mapspace::DivisorTables &
-Mapspace::divisorTables() const
+void
+Mapspace::DrawTables::build(const Mapspace &space)
 {
-    std::call_once(divisors_->built,
-                   [this] { divisors_->build(problem()); });
-    return *divisors_;
+    const Problem &prob = space.problem();
+    const ArchSpec &arch = space.arch();
+    const int nd = prob.numDims();
+    const int nl = arch.numLevels();
+    const int nt = prob.numTensors();
+
+    for (DimId d = 0; d < nd; ++d) {
+        divisors.addDim(prob.dimSize(d));
+        firstList.push_back(divisors.id(d, prob.dimSize(d)));
+    }
+
+    for (int k = 0; k < 2 * nl; ++k) {
+        const StorageLevelSpec &lvl = arch.level(slotLevel(k));
+        Slot slot;
+        slot.index = k;
+        slot.level = slotLevel(k);
+        slot.spatial = isSpatialSlot(k);
+        slot.imperfect = space.slotImperfect(k);
+        slot.last = k == 2 * nl - 1;
+        // The outermost level is the unbounded backing store.
+        slot.check = !slot.spatial && slot.level < nl - 1;
+        if (slot.spatial) {
+            // A 1x1 level gives every dimension factor 1 and draws no
+            // RNG value; its axis row is preset below.
+            if (lvl.fanoutX * lvl.fanoutY <= 1)
+                continue;
+            slot.fanoutX = lvl.fanoutX;
+            slot.fanoutY = lvl.fanoutY;
+        }
+        slots.push_back(slot);
+    }
+
+    // Residency: endpoints keep everything, forced bypasses are
+    // honoured, the other interior pairs are one coin flip each.
+    for (int l = 0; l < nl; ++l)
+        for (int t = 0; t < nt; ++t)
+            keep.push_back(l == 0 || l == nl - 1 ? char{1}
+                           : space.constraints_->bypassForced(l, t)
+                               ? char{0}
+                               : kDrawKeep);
+
+    // The axis a visited spatial slot picks for a dimension without
+    // room, which is every dimension of a skipped 1x1 slot: Y when
+    // only Y is allowed, else X.
+    for (const std::uint8_t may : space.axisMask_)
+        axes.push_back(may == 2 ? SpatialAxis::Y : SpatialAxis::X);
+
+    termsOf.push_back(0);
+    for (int t = 0; t < nt; ++t) {
+        for (const TensorAxis &axis : prob.tensor(t).axes)
+            for (std::size_t i = 0; i < axis.terms.size(); ++i)
+                terms.push_back(
+                    Term{static_cast<std::size_t>(axis.terms[i].dim),
+                         axis.terms[i].coef,
+                         i + 1 == axis.terms.size()});
+        termsOf.push_back(terms.size());
+    }
+}
+
+const Mapspace::DrawTables &
+Mapspace::tables() const
+{
+    std::call_once(tables_->built, [this] { tables_->build(*this); });
+    return *tables_;
 }
 
 Mapping
 Mapspace::sample(Rng &rng) const
 {
     Decisions decisions;
-    draw(rng, decisions, false);
+    sample(rng, decisions);
     return materialize(decisions);
 }
 
 bool
 Mapspace::sampleInto(Rng &rng, Decisions &out) const
 {
-    return draw(rng, out, true);
+    if (drawTiling(rng, out, true) == 0)
+        return false;
+    sampleOrders(rng, out);
+    return true;
+}
+
+bool
+Mapspace::sampleTiling(Rng &rng, Decisions &out, double &cycles) const
+{
+    cycles = drawTiling(rng, out, true);
+    return cycles != 0;
 }
 
 void
 Mapspace::sample(Rng &rng, Decisions &out) const
 {
-    draw(rng, out, false);
+    drawTiling(rng, out, false);
+    sampleOrders(rng, out);
 }
 
 Mapping
@@ -158,153 +239,211 @@ Mapspace::materialize(const Decisions &decisions) const
     return Mapping(problem(), arch(), decisions);
 }
 
-bool
-Mapspace::draw(Rng &rng, Decisions &out, bool reject) const
+double
+Mapspace::drawTiling(Rng &rng, Decisions &out, bool reject) const
 {
     const Problem &prob = problem();
     const ArchSpec &arch_spec = arch();
     const std::size_t nd = static_cast<std::size_t>(prob.numDims());
     const int nl = arch_spec.numLevels();
     const int nt = prob.numTensors();
-    const int slots = 2 * nl;
+    const std::size_t slots = 2 * static_cast<std::size_t>(nl);
+    const DrawTables &tab = tables();
+    const DivisorLists &divisors = tab.divisors;
 
-    out.steady.assign(nd * static_cast<std::size_t>(slots), 1);
-    out.axes.assign(static_cast<std::size_t>(nl) * nd, SpatialAxis::X);
+    out.steady.assign(nd * slots, 1);
+    out.axes.assign(tab.axes.begin(), tab.axes.end());
     out.perms.resize(static_cast<std::size_t>(nl) * nd);
-    out.keep.resize(static_cast<std::size_t>(nl * nt));
-    const DivisorTables &divisors = divisorTables();
+    out.keep.resize(tab.keep.size());
 
     // Residency first: it decides which tensors each capacity counts.
-    // Endpoints keep everything; forced bypasses are honoured; the
-    // remaining intermediate (level, tensor) pairs are explored
-    // randomly.
-    for (int l = 0; l < nl; ++l)
-        for (int t = 0; t < nt; ++t) {
-            const bool interior = l > 0 && l < nl - 1;
-            const char flag =
-                interior && (constraints_->bypassForced(l, t) ||
-                             rng.below(2) == 0)
-                    ? 0
-                    : 1;
-            out.keep[static_cast<std::size_t>(l * nt + t)] = flag;
-        }
+    for (std::size_t at = 0; at < tab.keep.size(); ++at)
+        out.keep[at] = tab.keep[at] != DrawTables::kDrawKeep
+                           ? tab.keep[at]
+                           : static_cast<char>(rng.below(2) != 0);
 
-    // Work rows: the tile count left per dimension, the steady extent
-    // below the current slot, and the per-slot visit order.
+    // Work rows per dimension: the tile count m left, the id of m's
+    // divisor list, the steady extent below the current slot, the
+    // serial-step recurrence of serialSteps() (tl over the tail
+    // subtree, full over a steady one), and the visit order.
     std::uint64_t remaining[kMaxDims];
+    std::uint32_t list[kMaxDims];
     std::uint64_t extent[kMaxDims];
+    std::uint64_t tl[kMaxDims];
+    std::uint64_t full[kMaxDims];
     DimId order[kMaxDims];
-    const std::span<const std::uint64_t> extents(extent, nd);
     for (std::size_t d = 0; d < nd; ++d) {
         remaining[d] = prob.dimSizes()[d];
+        list[d] = tab.firstList[d];
         extent[d] = 1;
+        tl[d] = 1;
+        full[d] = 1;
         order[d] = static_cast<DimId>(d);
     }
 
-    for (int k = 0; k < slots; ++k) {
-        const bool spatial = isSpatialSlot(k);
-        const bool imperfect = slotImperfect(k);
-        const bool last = k == slots - 1;
-        const int level = slotLevel(k);
-        const StorageLevelSpec &lvl = arch_spec.level(level);
-        // Independent mesh-axis budgets at spatial slots.
-        std::uint64_t budget_x = spatial ? lvl.fanoutX : 0;
-        std::uint64_t budget_y = spatial ? lvl.fanoutY : 0;
+    // Draw dimension d's factor at a non-final slot with cap 0
+    // (unbounded) or >= 2, given its m > 1; move d's m and list on and
+    // return the factor and its tail.
+    const auto drawFactor = [&](std::size_t d, std::uint64_t cap,
+                                bool imperfect, std::uint64_t &tail) {
+        const std::uint64_t m = remaining[d];
+        const DivisorLists::Entry *pick = nullptr;
+        std::uint64_t choice = 0;
+        if (imperfect) {
+            // Mixture proposal over the imperfect range: divisors (the
+            // PFM sub-space), the full cap (the maximum-utilization
+            // choice Ruby exists to reach), and a uniform draw keeping
+            // the whole space reachable.
+            const std::uint64_t hi =
+                std::min<std::uint64_t>(cap == 0 ? m : cap, m);
+            switch (rng.below(3)) {
+              case 0:
+                pick = &pickDivisor(divisors.list(list[d]), hi, rng);
+                break;
+              case 1:
+                choice = hi;
+                break;
+              default:
+                choice = rng.between(1, hi);
+            }
+        } else {
+            // Perfect slot: uniform over divisors of m within cap.
+            pick = &pickDivisor(divisors.list(list[d]), cap, rng);
+        }
+        if (pick != nullptr) {
+            tail = pick->divisor;
+            remaining[d] = pick->quotient;
+            list[d] = pick->next;
+            return pick->divisor;
+        }
+        // q = ceil(m / P) - 1 is the next mixed-radix digit of D - 1
+        // (FactorChain::assign's forward pass).
+        const std::uint64_t q = (m - 1) / choice;
+        tail = m - q * choice;
+        remaining[d] = q + 1;
+        list[d] = divisors.id(static_cast<DimId>(d), q + 1);
+        return choice;
+    };
 
-        // Dimensions compete only for a spatial budget; elsewhere the
-        // visit order cannot change any draw (see the file comment).
-        if (spatial && budget_x * budget_y > 1)
+    std::uint64_t *steady = out.steady.data();
+    for (const DrawTables::Slot &slot : tab.slots) {
+        const std::size_t k = static_cast<std::size_t>(slot.index);
+        if (slot.last) {
+            // The outermost slot absorbs the residual m, a perfect
+            // step drawing nothing (the row keeps 1 where m is 1).
+            for (std::size_t d = 0; d < nd; ++d) {
+                steady[d * slots + k] = remaining[d];
+                tl[d] += (remaining[d] - 1) * full[d];
+            }
+            break;
+        }
+        if (!slot.spatial) {
+            // Factor 1 (m == 1), the row's initial value, leaves every
+            // work row as it is.
+            for (std::size_t i = 0; i < nd; ++i) {
+                const std::size_t d = static_cast<std::size_t>(order[i]);
+                if (remaining[d] == 1)
+                    continue;
+                std::uint64_t tail = 0;
+                const std::uint64_t choice =
+                    drawFactor(d, 0, slot.imperfect, tail);
+                steady[d * slots + k] = choice;
+                extent[d] *= choice;
+                tl[d] += (tail - 1) * full[d];
+                full[d] *= choice;
+            }
+        } else {
+            // Independent mesh-axis budgets. Dimensions compete for
+            // them, so the visit order is reshuffled (see the file
+            // comment).
+            std::uint64_t budget_x = slot.fanoutX;
+            std::uint64_t budget_y = slot.fanoutY;
             for (std::size_t i = nd; i-- > 1;)
                 std::swap(order[i], order[rng.below(i + 1)]);
-
-        for (std::size_t i = 0; i < nd; ++i) {
-            const DimId d = order[i];
-            auto &m = remaining[static_cast<std::size_t>(d)];
-            const std::size_t axis_at =
-                static_cast<std::size_t>(level) * nd +
-                static_cast<std::size_t>(d);
-            std::uint64_t cap = 0; // unbounded (temporal)
-            SpatialAxis axis = SpatialAxis::X;
-            if (spatial) {
+            for (std::size_t i = 0; i < nd; ++i) {
+                const std::size_t d = static_cast<std::size_t>(order[i]);
                 // Pick the mesh axis: among the axes this dimension
                 // may occupy, prefer ones with remaining room.
+                const std::size_t axis_at =
+                    static_cast<std::size_t>(slot.level) * nd + d;
                 const std::uint8_t may = axisMask_[axis_at];
                 const std::uint64_t cap_x = (may & 1) != 0 ? budget_x : 0;
                 const std::uint64_t cap_y = (may & 2) != 0 ? budget_y : 0;
+                SpatialAxis axis = SpatialAxis::X;
                 if (cap_x > 1 && cap_y > 1)
                     axis = rng.below(2) == 0 ? SpatialAxis::X
                                              : SpatialAxis::Y;
                 else if (cap_y > cap_x)
                     axis = SpatialAxis::Y;
                 out.axes[axis_at] = axis;
-                cap = std::max<std::uint64_t>(
-                    axis == SpatialAxis::X ? cap_x : cap_y, 1);
-            }
-            std::uint64_t choice = 1;
-            if (last) {
-                // The outermost temporal slot absorbs the residual.
-                choice = m;
-            } else if (cap == 1 || m == 1) {
-                // Factor 1, the row's initial value: m, the extent and
-                // the budgets stay as they are. Most (dim, slot) pairs
-                // end here.
-                continue;
-            } else if (imperfect) {
-                // Mixture proposal over the imperfect range: divisors
-                // (the PFM sub-space), the full cap (the maximum-
-                // utilization choice Ruby exists to reach), and a
-                // uniform draw keeping the whole space reachable.
-                const std::uint64_t hi = std::min<std::uint64_t>(
-                    cap == 0 ? m : cap, m);
-                switch (rng.below(3)) {
-                  case 0:
-                    choice = pickDivisor(divisors.of(d, m), hi, rng);
-                    break;
-                  case 1:
-                    choice = hi;
-                    break;
-                  default:
-                    choice = rng.between(1, hi);
+                const std::uint64_t cap =
+                    axis == SpatialAxis::X ? cap_x : cap_y;
+                // Factor 1 leaves the rows and the budgets as they are;
+                // most (dim, slot) pairs end here.
+                if (remaining[d] == 1 || cap <= 1)
+                    continue;
+                std::uint64_t tail = 0;
+                const std::uint64_t choice =
+                    drawFactor(d, cap, slot.imperfect, tail);
+                steady[d * slots + k] = choice;
+                extent[d] *= choice;
+                tl[d] = tail >= 2 ? full[d] : tl[d];
+                if (choice > 1) {
+                    auto &budget =
+                        axis == SpatialAxis::X ? budget_x : budget_y;
+                    RUBY_ASSERT(budget >= choice);
+                    budget /= choice;
                 }
-            } else {
-                // Perfect slot: uniform over divisors of m within cap.
-                choice = pickDivisor(divisors.of(d, m), cap, rng);
-            }
-            out.steady[static_cast<std::size_t>(d) *
-                           static_cast<std::size_t>(slots) +
-                       static_cast<std::size_t>(k)] = choice;
-            m = ceilDiv(m, choice);
-            extent[static_cast<std::size_t>(d)] *= choice;
-            if (spatial && choice > 1) {
-                auto &budget =
-                    axis == SpatialAxis::X ? budget_x : budget_y;
-                RUBY_ASSERT(budget >= choice);
-                budget /= choice;
             }
         }
 
-        // Level `level`'s tiles are final once its temporal slot is;
-        // the outermost level is the unbounded backing store.
-        if (reject && !spatial && level < nl - 1) {
-            const char *kept = out.keep.data() + level * nt;
+        // Level `slot.level`'s tiles are final once its temporal slot
+        // is.
+        if (reject && slot.check) {
+            const char *kept = out.keep.data() + slot.level * nt;
             std::uint64_t shared_used = 0;
             if (capacityOverflow(
-                    lvl, nt,
+                    arch_spec.level(slot.level), nt,
                     [&](int t) { return kept[t] != 0; },
-                    [&](int t) { return prob.tileVolume(t, extents); },
+                    [&](int t) {
+                        // Problem::tileVolume() over the flat terms.
+                        std::uint64_t volume = 1;
+                        std::uint64_t span = 1;
+                        for (std::size_t i = tab.termsOf[t];
+                             i < tab.termsOf[t + 1]; ++i) {
+                            const DrawTables::Term &term = tab.terms[i];
+                            span += term.coef * (extent[term.dim] - 1);
+                            if (term.axisEnd) {
+                                volume *= span;
+                                span = 1;
+                            }
+                        }
+                        return volume;
+                    },
                     shared_used) >= 0)
-                return false;
+                return 0;
         }
     }
 
+    // The product of serialSteps() over the chains, in dimension order
+    // (Evaluator::objectiveLowerBound()'s order).
+    double cycles = 1.0;
+    for (std::size_t d = 0; d < nd; ++d)
+        cycles *= static_cast<double>(tl[d]);
+    return cycles;
+}
+
+void
+Mapspace::sampleOrders(Rng &rng, Decisions &out) const
+{
+    const std::size_t nd = static_cast<std::size_t>(problem().numDims());
     // Random temporal loop order per level.
-    for (int l = 0; l < nl; ++l) {
+    for (int l = 0; l < arch().numLevels(); ++l) {
         DimId *perm = out.perms.data() + static_cast<std::size_t>(l) * nd;
         std::iota(perm, perm + nd, 0);
         for (std::size_t i = nd; i-- > 1;)
             std::swap(perm[i], perm[rng.below(i + 1)]);
     }
-    return true;
 }
 
 void
@@ -316,9 +455,10 @@ Mapspace::mutateChain(Decisions &decisions, DimId d, Rng &rng) const
     std::uint64_t *chain = decisions.steady.data() +
                            static_cast<std::size_t>(d) *
                                static_cast<std::size_t>(slots);
-    const DivisorTables &divisors = divisorTables();
+    const DivisorLists &divisors = tables().divisors;
 
     std::uint64_t m = problem().dimSize(d);
+    std::uint32_t list = divisors.id(d, m);
     for (int k = 0; k < slots; ++k) {
         const std::uint64_t cap = slotCap(d, k);
         std::uint64_t choice = 1;
@@ -330,11 +470,16 @@ Mapspace::mutateChain(Decisions &decisions, DimId d, Rng &rng) const
             const std::uint64_t hi =
                 std::min<std::uint64_t>(cap == 0 ? m : cap, m);
             choice = rng.between(1, hi);
+            m = ceilDiv(m, choice);
+            list = divisors.id(d, m);
         } else {
-            choice = pickDivisor(divisors.of(d, m), cap, rng);
+            const DivisorLists::Entry &pick =
+                pickDivisor(divisors.list(list), cap, rng);
+            choice = pick.divisor;
+            m = pick.quotient;
+            list = pick.next;
         }
         chain[k] = choice;
-        m = ceilDiv(m, choice);
     }
 }
 

@@ -16,32 +16,38 @@
  *
  * A draw makes the residency (keep) bits first, because interior
  * residency decides which tensors a level's capacity counts, then the
- * tiling slots inner to outer, and the loop orders last. Level l's
- * steady tiles depend only on slots [0, 2l+2) (TileInfo::
- * boundarySlot), so once slot 2l+1 is drawn sampleInto() checks level
- * l's capacity with capacityOk()'s arithmetic and stops the draw on
- * the first overflow. Spatial fit holds by construction, so a draw
- * that completes is valid. The distribution is unchanged: a rejected
- * draw is one the evaluator would reject, a completed one is exactly
- * what sample() returns on the same stream, and each search draw
- * reads its own keyed stream (Rng::keyed), so stopping one early
- * shifts no other.
+ * tiling slots inner to outer (the tiling phase), and the loop orders
+ * last (the order phase). Level l's steady tiles depend only on slots
+ * [0, 2l+2) (TileInfo::boundarySlot), so once slot 2l+1 is drawn
+ * sampleTiling() checks level l's capacity with capacityOverflow()
+ * and stops the draw on the first overflow. Spatial fit holds by
+ * construction, so a draw that completes is valid. The tiling phase
+ * also carries each dimension's serial-step recurrence (serialSteps()
+ * over the chain it is drawing), so it returns the draw's exact
+ * serial-step product and a search can bound the draw before its
+ * loop orders exist. The distribution is unchanged: a rejected draw
+ * is one the evaluator would reject, a completed one is exactly what
+ * sample() returns on the same stream, and each search draw reads its
+ * own keyed stream (Rng::keyed), so stopping one early shifts no
+ * other.
  *
  * The visit order of the dimensions is reshuffled only at spatial
  * slots with fanout > 1, where they share the mesh-axis budgets. At
  * temporal and fanout-1 slots each dimension's draw depends on its
- * own m alone, so a shuffle would cost RNG calls and change nothing.
- * The allowed mesh axes per (level, dimension) are tabulated at
- * construction, the divisors of every reachable m = ceil(D / k) on
- * the first draw (building a mapspace stays cheap); a Mapspace is
- * logically immutable and may be shared across threads.
+ * own m alone, so a shuffle would cost RNG calls and change nothing;
+ * spatial slots of a 1x1 level draw nothing at all and are not
+ * visited. The allowed mesh axes per (level, dimension) are tabulated
+ * at construction; everything else a draw looks up (the per-slot
+ * plan, the keep codes, the flat tensor terms and the divisor lists)
+ * on the first draw, so building a mapspace stays cheap. A Mapspace
+ * is logically immutable and may be shared across threads.
  *
- * Sampling is split in two: sampleInto() writes one draw's decisions
- * into reused flat rows without allocating, and materialize() builds
- * the Mapping from them. Batched searches ingest the rows directly and
- * materialize only the few candidates that survive the batch stages;
- * sample() is the two steps back to back (never rejecting), so there
- * is one sampler.
+ * sampleInto() writes one draw's decisions into reused flat rows
+ * without allocating, and materialize() builds the Mapping from them.
+ * Random search runs the two phases itself: it bounds each completed
+ * tiling, draws loop orders only for a draw the bound cannot prune,
+ * and materializes only those. sample() is the same draw run to
+ * completion (never rejecting), so there is one sampler.
  *
  * The iterative searches (genetic, local, random search's refinement)
  * edit the same rows with the operators below: mutate() resamples a
@@ -104,6 +110,65 @@ bool imperfectSpatial(MapspaceVariant variant);
 bool imperfectTemporal(MapspaceVariant variant);
 
 /**
+ * The ascending divisors of every remaining tile count m a draw can
+ * reach, stored flat, one list per m. A dimension of size D reaches
+ * exactly the counts m = ceil(D / k), about 2 sqrt(D) of them. Each
+ * entry holds a divisor p, the quotient m / p and the id of m / p's
+ * list (m / p is reachable too: ceil(ceil(D / k) / p) ==
+ * ceil(D / (k p))), so a perfect step of a draw moves to its next
+ * list with no division.
+ */
+class DivisorLists
+{
+  public:
+    struct Entry
+    {
+        std::uint64_t divisor;  ///< p
+        std::uint64_t quotient; ///< m / p
+        std::uint32_t next;     ///< the list id of m / p
+    };
+
+    /** Add the lists of the next dimension (ids 0, 1, ... in call
+     *  order), of size @p size >= 1. */
+    void addDim(std::uint64_t size);
+
+    /**
+     * The list id of count @p m, reachable by dimension @p d: the
+     * dimension's base plus m for m <= floor(sqrt(D)), else plus
+     * floor(sqrt(D)) + 1 + ceil(D / m). ceil(D / m) is the smallest k
+     * with ceil(D / k) == m: distinct for distinct reachable m, and at
+     * most about sqrt(D).
+     */
+    std::uint32_t id(DimId d, std::uint64_t m) const
+    {
+        const Dim &dim = dims_[static_cast<std::size_t>(d)];
+        return static_cast<std::uint32_t>(
+            m <= dim.split ? dim.base + m
+                           : dim.base + dim.split + 1 +
+                                 (dim.size + m - 1) / m);
+    }
+
+    /** The entries of list @p id, ascending by divisor. */
+    std::span<const Entry> list(std::uint32_t id) const
+    {
+        return {entries_.data() + begin_[id],
+                begin_[id + 1] - begin_[id]};
+    }
+
+  private:
+    struct Dim
+    {
+        std::uint64_t size = 1;  ///< D
+        std::uint64_t split = 1; ///< floor(sqrt(D))
+        std::size_t base = 0;    ///< id of the dimension's first list
+    };
+
+    std::vector<Dim> dims_;
+    std::vector<std::size_t> begin_{0}; ///< list id -> first entry
+    std::vector<Entry> entries_;
+};
+
+/**
  * A mapspace over one (problem, architecture, constraints) triple.
  * The constraints object (and the problem/arch it references) must
  * outlive the mapspace.
@@ -141,9 +206,25 @@ class Mapspace
      * the rows are then incomplete and must not be used. On true the
      * rows materialize to exactly the mapping sample() returns on the
      * same stream, and that mapping passes the evaluator's validity
-     * check.
+     * check. sampleTiling() then sampleOrders() on one stream.
      */
     bool sampleInto(Rng &rng, Decisions &out) const;
+
+    /**
+     * The tiling phase of sampleInto(): the keep, steady and axis rows
+     * of @p out, stopping (false) at the first capacity overflow. On
+     * true, @p cycles is the product of serialSteps() of the draw's
+     * chains, multiplied in dimension order, so
+     * Evaluator::boundFromCycles(cycles, obj) equals
+     * objectiveLowerBound() of the finished draw bit for bit. The loop
+     * orders are not drawn yet: the perms row is sized but unset
+     * until sampleOrders() runs on the same stream.
+     */
+    bool sampleTiling(Rng &rng, Decisions &out, double &cycles) const;
+
+    /** The order phase: each level's random temporal loop order, into
+     *  the perms row of a draw whose tiling phase completed. */
+    void sampleOrders(Rng &rng, Decisions &out) const;
 
     /** Draw a random mapping's decision rows into @p out, always to
      *  completion: the draw behind sample(), without the Mapping. */
@@ -196,45 +277,59 @@ class Mapspace
 
   private:
     /**
-     * The ascending divisors of every remaining count m each dimension
-     * can reach, one list per m: dimension d's list for m is
-     * lists[dims[d].byM + m] when m <= split, else
-     * lists[dims[d].byM + split + 1 + ceil(D / m)] (the smallest k with
-     * ceil(D / k) == m: distinct for distinct reachable m, and at most
-     * about sqrt(D)).
+     * Everything a draw looks up beyond axisMask_, built by the first
+     * draw (see docs/PERFORMANCE.md: eagerly, the tables would be
+     * built for every mapspace a sweep constructs, and the benchmark's
+     * setup_s times those builds).
      */
-    struct DivisorTables
+    struct DrawTables
     {
-        struct Dim
+        /** One tiling slot a draw visits, inner to outer. */
+        struct Slot
         {
-            std::uint64_t size = 1;  ///< D
-            std::uint64_t split = 1; ///< floor(sqrt(D))
-            std::size_t byM = 0;
+            int index = 0; ///< k
+            int level = 0; ///< slotLevel(k)
+            bool spatial = false;
+            bool imperfect = false; ///< slotImperfect(k)
+            bool last = false;      ///< the outermost (residual) slot
+            bool check = false;     ///< level's tiles are final here
+            std::uint64_t fanoutX = 0; ///< mesh budgets (spatial only)
+            std::uint64_t fanoutY = 0;
         };
 
-        std::once_flag built;
-        std::vector<Dim> dims;
-        std::vector<std::vector<std::uint64_t>> lists;
-
-        void build(const Problem &prob);
-
-        /** Inline: a draw makes several lookups. */
-        const std::vector<std::uint64_t> &of(DimId d,
-                                             std::uint64_t m) const
+        /** One term of a tensor axis, flat: the axis ends at a term
+         *  with axisEnd set. */
+        struct Term
         {
-            const Dim &dim = dims[static_cast<std::size_t>(d)];
-            return lists[m <= dim.split ? dim.byM + m
-                                        : dim.byM + dim.split + 1 +
-                                              (dim.size + m - 1) / m];
-        }
+            std::size_t dim = 0;
+            std::uint64_t coef = 0;
+            bool axisEnd = false;
+        };
+
+        /** Keep codes, [l * nt + t]: a fixed flag, or one coin flip. */
+        static constexpr char kDrawKeep = 2;
+
+        std::once_flag built;
+        DivisorLists divisors;
+        std::vector<std::uint32_t> firstList; ///< per dim: D's list id
+        std::vector<Slot> slots;      ///< skips spatial slots of 1x1 levels
+        std::vector<char> keep;       ///< 0, 1 or kDrawKeep
+        std::vector<SpatialAxis> axes; ///< axis row before any draw
+        std::vector<Term> terms;      ///< every tensor's axes, flat
+        std::vector<std::size_t> termsOf; ///< tensor t: [t], [t + 1])
+
+        void build(const Mapspace &space);
     };
 
-    /** The draw behind sample() (@p reject false: never stops) and
-     *  sampleInto() (@p reject true). */
-    bool draw(Rng &rng, Decisions &out, bool reject) const;
+    /**
+     * The one draw body: the tiling phase, stopping at the first
+     * capacity overflow when @p reject is set. Returns the draw's
+     * serial-step product, or 0 when it stopped.
+     */
+    double drawTiling(Rng &rng, Decisions &out, bool reject) const;
 
-    /** The divisor tables, built by the first caller. */
-    const DivisorTables &divisorTables() const;
+    /** The draw tables, built by the first caller. */
+    const DrawTables &tables() const;
 
     const MappingConstraints *constraints_;
     MapspaceVariant variant_;
@@ -242,7 +337,7 @@ class Mapspace
     /** Axes dimension d may occupy at level l, [l * nd + d]: bit 0 X,
      *  bit 1 Y. */
     std::vector<std::uint8_t> axisMask_;
-    std::unique_ptr<DivisorTables> divisors_;
+    std::unique_ptr<DrawTables> tables_;
 };
 
 } // namespace ruby

@@ -426,7 +426,9 @@ BatchEvaluator::run(Objective obj, EvalStats &stats, bool withBound)
         // recurrence runs per surviving lane, exactly as the scalar
         // path would have, re-deriving the tails from the steady
         // lanes (the mixed-radix digits of D-1 — FactorChain::assign's
-        // forward pass): the divisions are spent on survivors only.
+        // forward pass): the divisions are spent on survivors only,
+        // and not on unit factors, whose digit is 0 (tail 1) and which
+        // leave q, full and tl as they are.
         for (std::size_t i = 0; i < k; ++i) {
             if (!valid_[i])
                 continue;
@@ -442,6 +444,8 @@ BatchEvaluator::run(Objective obj, EvalStats &stats, bool withBound)
                     const std::uint64_t p =
                         steady_[row(base + static_cast<std::size_t>(s)) +
                                 i];
+                    if (p == 1)
+                        continue;
                     const std::uint64_t r = q % p + 1;
                     q /= p;
                     if (isSpatialSlot(s)) {

@@ -22,9 +22,11 @@
  * The engine owns its layout: it packs each candidate's keep and
  * axis rows into its own mask words at ingest, as many as the tables
  * need, so it takes every problem and architecture and is the one
- * scoring path of every search that scores candidates in bulk
- * (random, genetic, exhaustive, optimal). No other encoding carries
- * the packed masks.
+ * scoring path of the searches that score candidates in bulk
+ * (genetic, exhaustive, optimal). Random search does not use it: its
+ * sampler rejects invalid draws and bounds the rest while drawing
+ * (Mapspace::sampleTiling()). No other encoding carries the packed
+ * masks.
  *
  * The engine is an *exact* reformulation, not an approximation: every
  * per-lane recurrence is the same integer/double arithmetic, in the

@@ -145,6 +145,11 @@ struct EvalStats
      * untouched. batchCalls is bumped once per BatchEvaluator::run();
      * the consumer bumps batchedEvals/batchRejects per candidate it
      * actually consumes, so abandoned batch tails never count.
+     * Random search screens in the sampler instead of a batch and
+     * keeps the same values: batchCalls counts its blocks of 32 draw
+     * indices with a completed draw, batchedEvals its completed draws,
+     * and batchRejects the survivors Evaluator::evaluate() finds
+     * invalid (0 by construction).
      */
     std::uint64_t batchCalls = 0;   ///< BatchEvaluator::run() calls
     std::uint64_t batchedEvals = 0; ///< candidates served from a batch

@@ -313,10 +313,10 @@ searchLayer(const Problem &problem, const ArchSpec &arch,
         // Padding baseline: round dims up, then search the (usually
         // PFM) space over the padded problem. Costs include the
         // padded work.
-        const MappingConstraints pad_probe =
-            makeConstraints(preset, problem, arch);
         const Problem searched =
-            pad ? padForArray(problem, pad_probe) : problem;
+            pad ? padForArray(problem,
+                              makeConstraints(preset, problem, arch))
+                : problem;
 
         const MappingConstraints constraints =
             makeConstraints(preset, searched, arch);

@@ -15,7 +15,6 @@
 #include "ruby/common/error.hpp"
 #include "ruby/common/fault_injector.hpp"
 #include "ruby/common/thread_pool.hpp"
-#include "ruby/model/batch_eval.hpp"
 #include "ruby/model/delta_eval.hpp"
 
 namespace ruby
@@ -42,6 +41,9 @@ nsSince(Clock::time_point start)
 {
     return nsBetween(start, Clock::now());
 }
+
+/** Draw indices per claimed block. */
+constexpr std::size_t kBlock = 32;
 
 /** Upper bound keeping thread/restart typos from exhausting the OS. */
 constexpr unsigned kMaxParallelism = 4096;
@@ -81,7 +83,7 @@ resolveOptions(const SearchOptions &options)
 enum class Fate : char
 {
     Rejected, ///< the sampler stopped the draw on a capacity overflow
-    Invalid,  ///< completed, but failed the validity stage
+    Invalid,  ///< completed, but failed the evaluator's validity check
     Pruned,   ///< valid; its lower bound cannot beat the threshold
     Modeled,  ///< valid and fully modeled
 };
@@ -96,7 +98,7 @@ struct Verdict
  *  become the incumbent at commit, so only these keep a Mapping. */
 struct Candidate
 {
-    std::size_t lane;
+    std::size_t index; ///< within the block
     Mapping mapping;
     EvalResult result;
 };
@@ -107,9 +109,9 @@ struct Block
 {
     std::uint64_t number = 0; ///< draws [number * K, number * K + size)
     std::size_t size = 0;
-    bool ranBatch = false; ///< one BatchEvaluator::run() was made
-    std::array<Verdict, kDefaultEvalBatch> verdicts;
-    std::vector<Candidate> candidates; ///< ascending lane
+    bool completed = false; ///< some draw finished its tiling phase
+    std::array<Verdict, kBlock> verdicts;
+    std::vector<Candidate> candidates; ///< ascending index
 };
 
 /**
@@ -176,10 +178,10 @@ commitBlock(Search &s, Block &block)
                 // too (that threshold was never below this prefix's
                 // best), so the worker kept its mapping.
                 while (candidate != block.candidates.end() &&
-                       candidate->lane < j)
+                       candidate->index < j)
                     ++candidate;
                 RUBY_ASSERT(candidate != block.candidates.end() &&
-                            candidate->lane == j);
+                            candidate->index == j);
                 s.best = v.metric;
                 s.out.best = std::move(candidate->mapping);
                 s.out.bestResult = std::move(candidate->result);
@@ -196,7 +198,7 @@ commitBlock(Search &s, Block &block)
             break;
         }
     }
-    if (block.ranBatch)
+    if (block.completed)
         ++stats.batchCalls;
     if (opts.maxEvaluations != 0 &&
         s.out.evaluated >= opts.maxEvaluations)
@@ -206,38 +208,53 @@ commitBlock(Search &s, Block &block)
     s.committedBest.store(s.best, std::memory_order_relaxed);
 }
 
+#ifndef NDEBUG
 /**
- * Decide draw @p j of a block from the batch engine's lane @p lane,
- * cheapest check first (validity -> objective lower bound -> full
- * model). A draw whose bound cannot beat @p threshold is pruned; a
- * modeled draw that beats it tightens the threshold and becomes a
- * candidate. A modeled draw is assigned into the worker's reused
- * @p modeled mapping; only a candidate is copied out of it.
+ * Debug builds: a draw whose tiling phase completed is valid, and its
+ * in-draw bound is objectiveLowerBound() bit for bit. Neither depends
+ * on the loop orders, so identity orders stand in for undrawn ones.
  */
 void
-decideLane(const Search &s, const BatchEvaluator &batch,
-           std::size_t lane, const Decisions &drawn, std::size_t j,
-           double &threshold, EvalScratch &scratch,
-           std::optional<Mapping> &modeled, Block &block)
+crossCheckDraw(const Search &s, Decisions rows, double bound)
 {
-    const SearchOptions &opts = s.opts;
+    const std::size_t nd =
+        static_cast<std::size_t>(s.space.problem().numDims());
+    for (std::size_t at = 0; at < rows.perms.size(); ++at)
+        rows.perms[at] = static_cast<DimId>(at % nd);
+    const Mapping mapping = s.space.materialize(rows);
+    EvalScratch scratch;
+    RUBY_ASSERT(s.evaluator.checkValidity(mapping, scratch, false),
+                "a completed draw fails the validity check");
+    RUBY_ASSERT(s.evaluator.objectiveLowerBound(
+                    mapping, s.opts.objective) == bound,
+                "the in-draw bound diverges from objectiveLowerBound()");
+}
+#endif
+
+/**
+ * Model draw @p j of a block, a complete draw the bound did not prune,
+ * through Evaluator::evaluate(), which re-checks validity. A modeled
+ * draw that beats @p threshold tightens it and becomes a candidate.
+ * The draw is assigned into the worker's reused @p modeled mapping;
+ * only a candidate is copied out of it.
+ */
+void
+modelSurvivor(const Search &s, const Decisions &rows, std::size_t j,
+              double &threshold, EvalScratch &scratch,
+              std::optional<Mapping> &modeled, Block &block)
+{
     Verdict &v = block.verdicts[j];
-    if (!batch.valid(lane)) {
+    if (modeled)
+        modeled->assign(rows);
+    else
+        modeled.emplace(s.space.materialize(rows));
+    s.evaluator.evaluate(*modeled, scratch);
+    if (!scratch.result.valid) {
         v.fate = Fate::Invalid;
         return;
     }
-    if (opts.boundPruning && batch.bound(lane) >= threshold) {
-        v.fate = Fate::Pruned;
-        return;
-    }
-    if (modeled)
-        modeled->assign(drawn);
-    else
-        modeled.emplace(s.space.materialize(drawn));
-    batch.prepareScratch(lane, scratch);
-    s.evaluator.modelValidated(*modeled, scratch);
     v.fate = Fate::Modeled;
-    v.metric = scratch.result.objective(opts.objective);
+    v.metric = scratch.result.objective(s.opts.objective);
     if (v.metric < threshold) {
         threshold = v.metric;
         block.candidates.push_back(
@@ -246,10 +263,12 @@ decideLane(const Search &s, const BatchEvaluator &batch,
 }
 
 /**
- * One worker: claim a block, draw it (draw i reads its own keyed
- * stream; a draw the sampler rejects takes no batch lane), run the
- * batch stages over the completed draws, decide them in order, and
- * commit. Drawing is charged to timers.breedNs, deciding to evalNs,
+ * One worker: claim a block and decide each draw as it is made. Draw
+ * i reads its own keyed stream. A draw the sampler rejects stops
+ * there; a completed tiling is bounded from its serial-step product,
+ * and a pruned draw never draws its loop orders. A survivor draws
+ * them and is modeled. Then the block commits. Modeling survivors is
+ * charged to timers.evalNs, the rest of the block to breedNs,
  * committing to reduceNs.
  *
  * The pruning threshold folds the committed prefix's best (possibly
@@ -264,10 +283,7 @@ runWorker(Search &s, const CancelToken &cancel)
     FaultInjector &faults = FaultInjector::global();
     EvalScratch scratch;
     std::optional<Mapping> modeled;
-    BatchEvaluator batch(s.evaluator);
-    EvalStats unused; // the commit counts batch calls, not run()
-    std::vector<Decisions> drawn(kDefaultEvalBatch);
-    std::array<std::size_t, kDefaultEvalBatch> laneOf{};
+    Decisions rows;
     SearchTimers timers;
     Block block;
 
@@ -275,7 +291,7 @@ runWorker(Search &s, const CancelToken &cancel)
            !cancel.cancelled()) {
         const std::uint64_t number =
             s.nextBlock.fetch_add(1, std::memory_order_relaxed);
-        const std::uint64_t first = number * kDefaultEvalBatch;
+        const std::uint64_t first = number * kBlock;
         if (opts.maxEvaluations != 0 && first >= opts.maxEvaluations)
             break;
         if (s.deadline.expired() ||
@@ -287,46 +303,47 @@ runWorker(Search &s, const CancelToken &cancel)
         }
         const std::size_t size =
             opts.maxEvaluations == 0
-                ? kDefaultEvalBatch
+                ? kBlock
                 : static_cast<std::size_t>(std::min<std::uint64_t>(
-                      kDefaultEvalBatch, opts.maxEvaluations - first));
+                      kBlock, opts.maxEvaluations - first));
         block.number = number;
         block.size = size;
+        block.completed = false;
         block.candidates.clear();
 
-        const auto draw0 = Clock::now();
-        std::size_t lanes = 0;
-        batch.begin(size);
-        for (std::size_t j = 0; j < size; ++j) {
-            Rng rng = Rng::keyed(opts.seed, first + j);
-            const bool completed = s.space.sampleInto(rng, drawn[j]);
-            // A completed draw's verdict is set by decideLane() below.
-            block.verdicts[j] =
-                Verdict{completed ? Fate::Invalid : Fate::Rejected, kInf};
-            if (completed) {
-                laneOf[j] = lanes++;
-                batch.add(drawn[j]);
-            }
-        }
-        const auto eval0 = Clock::now();
-        timers.breedNs += nsBetween(draw0, eval0);
-        block.ranBatch = lanes > 0;
-        if (block.ranBatch)
-            batch.run(opts.objective, unused, opts.boundPruning);
+        const auto block0 = Clock::now();
+        std::uint64_t modelNs = 0;
         double threshold = kInf;
         for (std::size_t j = 0; j < size; ++j) {
             if (faults.enabled())
                 faults.maybeThrow("random_search.evaluate");
-            if (block.verdicts[j].fate == Fate::Rejected)
+            Verdict &v = block.verdicts[j];
+            v = Verdict{Fate::Rejected, kInf};
+            Rng rng = Rng::keyed(opts.seed, first + j);
+            double cycles = 0;
+            if (!s.space.sampleTiling(rng, rows, cycles))
                 continue;
+            block.completed = true;
+            const double bound =
+                s.evaluator.boundFromCycles(cycles, opts.objective);
+#ifndef NDEBUG
+            crossCheckDraw(s, rows, bound);
+#endif
             threshold = std::min(
                 threshold,
                 s.committedBest.load(std::memory_order_relaxed));
-            decideLane(s, batch, laneOf[j], drawn[j], j, threshold,
-                       scratch, modeled, block);
+            if (opts.boundPruning && bound >= threshold) {
+                v.fate = Fate::Pruned;
+                continue;
+            }
+            s.space.sampleOrders(rng, rows);
+            const auto model0 = Clock::now();
+            modelSurvivor(s, rows, j, threshold, scratch, modeled, block);
+            modelNs += nsSince(model0);
         }
         const auto commit0 = Clock::now();
-        timers.evalNs += nsBetween(eval0, commit0);
+        timers.evalNs += modelNs;
+        timers.breedNs += nsBetween(block0, commit0) - modelNs;
 
         std::lock_guard lock(s.mutex);
         if (number != s.nextCommit) {

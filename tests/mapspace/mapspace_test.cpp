@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <iterator>
+#include <set>
+#include <vector>
+
 #include "ruby/arch/presets.hpp"
 #include "ruby/common/math_util.hpp"
 #include "ruby/common/rng.hpp"
@@ -288,6 +292,71 @@ TEST(Mapspace, DivisorTablesCoverEveryReachableCount)
                     EXPECT_TRUE(m.chain(0).fullyPerfect()) << d;
                 }
             }
+        }
+    }
+}
+
+/**
+ * A spatial slot of a 1x1 level draws nothing, but its axis row still
+ * says where a factor would go: Y for a dimension allowed only on Y,
+ * else X, as a slot with no room left picks. Eyeriss's PE spad level
+ * is 1x1; with its X axis closed every dimension there is Y-only.
+ */
+TEST(Mapspace, OneByOneLevelAxisRowFollowsTheAllowedAxis)
+{
+    const Problem prob = makeConv(resnet50Layers()[1].shape);
+    const ArchSpec arch = makeEyeriss();
+    ASSERT_EQ(arch.level(0).fanout(), 1u);
+    MappingConstraints cons(prob, arch);
+    cons.allowSpatialOnly(0, SpatialAxis::X, {});
+    const Mapspace space(cons, MapspaceVariant::RubyS);
+    const std::size_t nd = static_cast<std::size_t>(prob.numDims());
+    Decisions rows;
+    for (std::uint64_t i = 0; i < 50; ++i) {
+        Rng rng = Rng::keyed(9, i);
+        space.sample(rng, rows);
+        for (std::size_t d = 0; d < nd; ++d) {
+            EXPECT_EQ(rows.axes[d], SpatialAxis::Y) << "draw " << i;
+            // The backing store allows both axes: X.
+            EXPECT_EQ(rows.axes[2 * nd + d], SpatialAxis::X) << "draw " << i;
+        }
+    }
+}
+
+/**
+ * The flat divisor lists behind the draws: every count m = ceil(D / k)
+ * a dimension reaches has its own list, holding divisors(m) in order;
+ * each entry's quotient is exact and its next id is the list of
+ * m / p. Sizes 1, primes, powers of two and 2048, all in one table.
+ */
+TEST(DivisorLists, EntriesAreExactAndLinked)
+{
+    const std::uint64_t sizes[] = {1, 2, 3, 7, 97, 65537,
+                                   4, 64, 1024, 2048};
+    DivisorLists lists;
+    for (const std::uint64_t size : sizes)
+        lists.addDim(size);
+    std::set<std::uint32_t> ids;
+    for (DimId d = 0; d < static_cast<DimId>(std::size(sizes)); ++d) {
+        const std::uint64_t size = sizes[d];
+        std::uint64_t previous = 0;
+        for (std::uint64_t k = 1; k <= size; ++k) {
+            const std::uint64_t m = ceilDiv(size, k);
+            if (m == previous)
+                continue;
+            previous = m;
+            const std::uint32_t id = lists.id(d, m);
+            EXPECT_TRUE(ids.insert(id).second)
+                << "size " << size << ": m " << m << " shares a list";
+            std::vector<std::uint64_t> got;
+            for (const DivisorLists::Entry &e : lists.list(id)) {
+                got.push_back(e.divisor);
+                EXPECT_EQ(e.divisor * e.quotient, m) << "size " << size;
+                EXPECT_EQ(e.next, lists.id(d, e.quotient))
+                    << "size " << size << ": m " << m << " / "
+                    << e.divisor;
+            }
+            EXPECT_EQ(got, divisors(m)) << "size " << size << ": m " << m;
         }
     }
 }

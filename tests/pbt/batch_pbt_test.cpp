@@ -5,16 +5,14 @@
  * every lane — validity, objective bound, and the scratch handed to
  * the full model — bit-identically to the scalar Evaluator stages, at
  * every batch width including 1, primes, the default, and widths
- * beyond it; the batched random search replays a scalar loop over
- * the same draws exactly, trajectory and counters included; and rows
- * edited by the Mapspace operators are decided like the scalar
- * stages, on hierarchies of any depth.
+ * beyond it; and rows edited by the Mapspace operators are decided
+ * like the scalar stages, on hierarchies of any depth. (The random
+ * search's replay of a scalar loop lives in search_pbt_test.cpp.)
  */
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
-#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -23,9 +21,9 @@
 
 #include "generators.hpp"
 #include "pbt.hpp"
+#include "ruby/mapspace/mapspace.hpp"
 #include "ruby/model/batch_eval.hpp"
 #include "ruby/model/evaluator.hpp"
-#include "ruby/search/random_search.hpp"
 
 namespace
 {
@@ -115,132 +113,7 @@ TEST(BatchPbt, BatchStagesMatchScalarStages)
 }
 
 /**
- * Property 2 — the batched random search is a replay of the scalar
- * stages: one restart on one thread answers exactly what a plain loop
- * over the same keyed draws answers when it decides each draw with
- * Evaluator::evaluateStaged() against the best so far — same
- * trajectory, same best, same stage counters — and every draw the
- * sampler completes is served from a batch.
- */
-std::optional<std::string>
-batchedSearchReplaysScalar(const WorkloadCase &c)
-{
-    const Problem prob = c.problem();
-    const ArchSpec arch = c.arch();
-    const MappingConstraints cons(prob, arch);
-    const Mapspace space(cons, c.variant);
-    const Evaluator eval(prob, arch);
-
-    SearchOptions opts;
-    opts.seed = c.sampleSeed;
-    opts.maxEvaluations = 400;
-    opts.terminationStreak = 150;
-    opts.recordTrajectory = true;
-    opts.threads = 1;
-    const SearchResult b = randomSearch(space, eval, opts);
-
-    // The reference: draw i reads Rng::keyed(seed, i); a strict
-    // improvement becomes the incumbent; only valid draws move the
-    // streak.
-    SearchResult a;
-    EvalScratch scratch;
-    Decisions rows;
-    double best = std::numeric_limits<double>::infinity();
-    std::uint64_t streak = 0;
-    for (std::uint64_t i = 0; i < opts.maxEvaluations; ++i) {
-        Rng rng = Rng::keyed(opts.seed, i);
-        ++a.evaluated;
-        if (!space.sampleInto(rng, rows)) {
-            ++a.stats.invalid;
-        } else {
-            const Mapping mapping = space.materialize(rows);
-            switch (eval.evaluateStaged(mapping, opts.objective, best,
-                                        true, scratch)) {
-              case StagedEval::Invalid:
-                ++a.stats.invalid;
-                break;
-              case StagedEval::PrunedBound:
-                ++a.stats.prunedBound;
-                ++a.valid;
-                ++streak;
-                break;
-              case StagedEval::Modeled: {
-                ++a.stats.modeled;
-                ++a.valid;
-                const double metric =
-                    scratch.result.objective(opts.objective);
-                if (metric < best) {
-                    best = metric;
-                    a.best = mapping;
-                    a.bestResult = scratch.result;
-                    streak = 0;
-                } else {
-                    ++streak;
-                }
-                break;
-              }
-            }
-        }
-        a.trajectory.push_back(best);
-        if (streak >= opts.terminationStreak)
-            break;
-    }
-
-    std::ostringstream os;
-    os.precision(17);
-    if (a.evaluated != b.evaluated || a.valid != b.valid) {
-        os << "totals diverge: scalar " << a.evaluated << "/" << a.valid
-           << " vs batched " << b.evaluated << "/" << b.valid << " ("
-           << c.describe() << ")";
-        return os.str();
-    }
-    if (a.trajectory != b.trajectory) {
-        os << "trajectories diverge after "
-           << a.trajectory.size() << "/" << b.trajectory.size()
-           << " steps (" << c.describe() << ")";
-        return os.str();
-    }
-    if (a.stats.invalid != b.stats.invalid ||
-        a.stats.prunedBound != b.stats.prunedBound ||
-        a.stats.modeled != b.stats.modeled) {
-        os << "stage counters diverge (" << c.describe() << ")";
-        return os.str();
-    }
-    if (a.best.has_value() != b.best.has_value()) {
-        os << "best presence diverges (" << c.describe() << ")";
-        return os.str();
-    }
-    if (a.best && (a.bestResult.edp != b.bestResult.edp ||
-                   a.best->toString() != b.best->toString())) {
-        os << "best diverges: scalar edp " << a.bestResult.edp
-           << " vs batched " << b.bestResult.edp << " ("
-           << c.describe() << ")";
-        return os.str();
-    }
-    // Every completed draw takes a lane and passes it: the sampler
-    // rejects doomed draws before they are batched.
-    if (b.stats.batchedEvals != b.valid || b.stats.batchRejects != 0 ||
-        b.stats.decided() != b.evaluated) {
-        os << "batched counters broken: batchedEvals="
-           << b.stats.batchedEvals << " decided=" << b.stats.decided()
-           << " evaluated=" << b.evaluated << " (" << c.describe()
-           << ")";
-        return os.str();
-    }
-    return std::nullopt;
-}
-
-TEST(BatchPbt, BatchedRandomSearchReplaysScalarSearch)
-{
-    ruby::pbt::check("batchedSearchReplaysScalar", 0xBA7Du,
-                     pbt::genWorkload, batchedSearchReplaysScalar,
-                     pbt::shrinkWorkload,
-                     [](const WorkloadCase &c) { return c.describe(); },
-                     15);
-}
-
-/**
- * Property 3 — edited rows go to the batch engine as they stand:
+ * Property 2 — edited rows go to the batch engine as they stand:
  * after any sequence of mutate(), undoMutation() and crossover() on
  * sampled rows, the engine decides every edited draw exactly like the
  * scalar stages — validity, objective bound and tile table. @p valid

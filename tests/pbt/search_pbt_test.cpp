@@ -1,7 +1,8 @@
 /**
  * @file
  * Search-layer properties: staged evaluation (bound pruning) never
- * changes a search's trajectory or result, exhaustive
+ * changes a search's trajectory or result, random search replays a
+ * scalar loop over the same keyed draws exactly, exhaustive
  * enumeration is bit-identical across thread counts, and the
  * mapspace-containment chain PFM subset Ruby-S/Ruby-T subset Ruby is
  * visible in the optima (a larger space never loses).
@@ -10,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <optional>
 #include <sstream>
 #include <string>
@@ -246,6 +248,131 @@ TEST(SearchPbt, LargerMapspaceNeverLosesOnCompleteSweeps)
                      pbt::shrinkWorkload,
                      [](const WorkloadCase &c) { return c.describe(); },
                      12);
+}
+
+/**
+ * Property 7 — random search is a replay of the scalar stages: one
+ * restart on one thread answers exactly what a plain loop over the
+ * same keyed draws answers when it decides each draw with
+ * Evaluator::evaluateStaged() against the best so far — same
+ * trajectory, same best, same stage counters — and every draw the
+ * sampler completes is counted as screened (batchedEvals) and passes.
+ */
+std::optional<std::string>
+randomSearchReplaysScalar(const WorkloadCase &c)
+{
+    const Problem prob = c.problem();
+    const ArchSpec arch = c.arch();
+    const MappingConstraints cons(prob, arch);
+    const Mapspace space(cons, c.variant);
+    const Evaluator eval(prob, arch);
+
+    SearchOptions opts;
+    opts.seed = c.sampleSeed;
+    opts.maxEvaluations = 400;
+    opts.terminationStreak = 150;
+    opts.recordTrajectory = true;
+    opts.threads = 1;
+    const SearchResult b = randomSearch(space, eval, opts);
+
+    // The reference: draw i reads Rng::keyed(seed, i); a strict
+    // improvement becomes the incumbent; only valid draws move the
+    // streak.
+    SearchResult a;
+    EvalScratch scratch;
+    Decisions rows;
+    double best = std::numeric_limits<double>::infinity();
+    std::uint64_t streak = 0;
+    for (std::uint64_t i = 0; i < opts.maxEvaluations; ++i) {
+        Rng rng = Rng::keyed(opts.seed, i);
+        ++a.evaluated;
+        if (!space.sampleInto(rng, rows)) {
+            ++a.stats.invalid;
+        } else {
+            const Mapping mapping = space.materialize(rows);
+            switch (eval.evaluateStaged(mapping, opts.objective, best,
+                                        true, scratch)) {
+              case StagedEval::Invalid:
+                ++a.stats.invalid;
+                break;
+              case StagedEval::PrunedBound:
+                ++a.stats.prunedBound;
+                ++a.valid;
+                ++streak;
+                break;
+              case StagedEval::Modeled: {
+                ++a.stats.modeled;
+                ++a.valid;
+                const double metric =
+                    scratch.result.objective(opts.objective);
+                if (metric < best) {
+                    best = metric;
+                    a.best = mapping;
+                    a.bestResult = scratch.result;
+                    streak = 0;
+                } else {
+                    ++streak;
+                }
+                break;
+              }
+            }
+        }
+        a.trajectory.push_back(best);
+        if (streak >= opts.terminationStreak)
+            break;
+    }
+
+    std::ostringstream os;
+    os.precision(17);
+    if (a.evaluated != b.evaluated || a.valid != b.valid) {
+        os << "totals diverge: scalar " << a.evaluated << "/" << a.valid
+           << " vs search " << b.evaluated << "/" << b.valid << " ("
+           << c.describe() << ")";
+        return os.str();
+    }
+    if (a.trajectory != b.trajectory) {
+        os << "trajectories diverge after "
+           << a.trajectory.size() << "/" << b.trajectory.size()
+           << " steps (" << c.describe() << ")";
+        return os.str();
+    }
+    if (a.stats.invalid != b.stats.invalid ||
+        a.stats.prunedBound != b.stats.prunedBound ||
+        a.stats.modeled != b.stats.modeled) {
+        os << "stage counters diverge (" << c.describe() << ")";
+        return os.str();
+    }
+    if (a.best.has_value() != b.best.has_value()) {
+        os << "best presence diverges (" << c.describe() << ")";
+        return os.str();
+    }
+    if (a.best && (a.bestResult.edp != b.bestResult.edp ||
+                   a.best->toString() != b.best->toString())) {
+        os << "best diverges: scalar edp " << a.bestResult.edp
+           << " vs search " << b.bestResult.edp << " ("
+           << c.describe() << ")";
+        return os.str();
+    }
+    // Every completed draw is counted and valid: the sampler rejects
+    // doomed draws while drawing them.
+    if (b.stats.batchedEvals != b.valid || b.stats.batchRejects != 0 ||
+        b.stats.decided() != b.evaluated) {
+        os << "screening counters broken: batchedEvals="
+           << b.stats.batchedEvals << " decided=" << b.stats.decided()
+           << " evaluated=" << b.evaluated << " (" << c.describe()
+           << ")";
+        return os.str();
+    }
+    return std::nullopt;
+}
+
+TEST(SearchPbt, RandomSearchReplaysScalarSearch)
+{
+    ruby::pbt::check("randomSearchReplaysScalar", 0xBA7Du,
+                     pbt::genWorkload, randomSearchReplaysScalar,
+                     pbt::shrinkWorkload,
+                     [](const WorkloadCase &c) { return c.describe(); },
+                     15);
 }
 
 } // namespace
