@@ -1,14 +1,18 @@
 /**
  * @file
- * Scaling head-to-head for the parallel search stack (ISSUE 3/5):
- * runs exhaustive / genetic / local search and a whole-network sweep
- * at 1/2/4/8 threads and reports speedup over a fixed *baseline* run
+ * Scaling head-to-head for the parallel search stack: runs
+ * exhaustive / genetic / local search and a whole-network sweep at
+ * 1/2/4/8 threads and reports speedup over a fixed *baseline* run
  * — one thread with the incremental (delta) evaluation engine off —
  * so the number captures both the engine's gain and the thread
  * scaling on top of it. Every point also records whether the best
  * EDP stayed bit-identical to the baseline (it must: the parallel
  * searches are deterministic at fixed topology and the delta engine
- * is an exact recomputation) and the delta-hit rate.
+ * is an exact recomputation) and the delta-hit rate. The network
+ * sweep's budget networkThreads x threads is also spent at threads
+ * 2 and 4 with networkThreads 1 (`network_layer_threads`); each of
+ * those points must reach the EDP of the networkThreads point of the
+ * same budget.
  *
  * Writes BENCH_search_scaling.json next to the working directory.
  * `--full` (or RUBY_BENCH_FULL=1) enlarges the budgets and sets the
@@ -22,6 +26,7 @@
 #include <array>
 #include <chrono>
 #include <fstream>
+#include <iomanip>
 #include <iostream>
 #include <set>
 #include <string>
@@ -163,7 +168,8 @@ emitSeries(std::ofstream &json, const char *name,
              << (p.incremental ? "true" : "false")
              << ", \"wall_ms\": " << p.wallMs
              << ", \"speedup\": " << p.speedup
-             << ", \"best_edp\": " << p.bestEdp << ", \"parity\": "
+             << ", \"best_edp\": " << std::setprecision(17)
+             << p.bestEdp << std::setprecision(6) << ", \"parity\": "
              << (p.parity ? "true" : "false")
              << ", \"delta_hit_rate\": " << p.deltaHitRate
              << ", \"delta_hits\": " << p.deltaHits
@@ -241,24 +247,58 @@ main(int argc, char **argv)
     std::cout << "  network (ResNet-50, layer threads = 1):\n";
     const std::vector<Layer> resnet = resnet50Layers();
     int memoized_layers = 0;
+    auto runNetwork = [&](unsigned net_threads, unsigned threads,
+                          bool incremental) {
+        SearchOptions opts;
+        opts.maxEvaluations = full ? 20'000 : 2'000;
+        opts.terminationStreak = 0;
+        opts.threads = threads;
+        opts.networkThreads = net_threads;
+        opts.incremental = incremental;
+        // Exercise the post-sampling refinement (and with it the
+        // random-search delta path) on every layer.
+        opts.refineSteps = full ? 2'000 : 200;
+        const NetworkOutcome net = searchNetwork(
+            resnet, arch, ConstraintPreset::EyerissRS,
+            MapspaceVariant::RubyS, opts);
+        memoized_layers = net.memoizedLayers;
+        return RunOutcome{net.edp, net.stats};
+    };
     const auto network = sweepThreads(
         [&](unsigned t, bool incremental) {
-            SearchOptions opts;
-            opts.maxEvaluations = full ? 20'000 : 2'000;
-            opts.terminationStreak = 0;
-            opts.threads = 1;
-            opts.networkThreads = t;
-            opts.incremental = incremental;
-            // Exercise the post-sampling refinement (and with it the
-            // random-search delta path) on every layer.
-            opts.refineSteps = full ? 2'000 : 200;
-            const NetworkOutcome net = searchNetwork(
-                resnet, arch, ConstraintPreset::EyerissRS,
-                MapspaceVariant::RubyS, opts);
-            memoized_layers = net.memoizedLayers;
-            return RunOutcome{net.edp, net.stats};
+            return runNetwork(t, 1, incremental);
         },
         true, 1);
+
+    // The same budgets named by the other factor (threads t,
+    // networkThreads 1). Layers fill the budget first, so each point
+    // must land on the network point at networkThreads t; `speedup`
+    // is against the network baseline and `parity` against that
+    // point.
+    std::cout << "  network (ResNet-50, network threads = 1):\n";
+    std::vector<RunPoint> network_split;
+    for (const unsigned t : {2u, 4u}) {
+        RunPoint p;
+        p.threads = t;
+        p.incremental = true;
+        const auto start = Clock::now();
+        const RunOutcome out = runNetwork(1, t, true);
+        p.wallMs = elapsedMs(start);
+        p.bestEdp = out.bestEdp;
+        p.speedup = network.front().wallMs / p.wallMs;
+        const auto twin = std::find_if(
+            network.begin() + 1, network.end(),
+            [t](const RunPoint &q) { return q.threads == t; });
+        p.parity = twin != network.end() && twin->bestEdp == p.bestEdp;
+        p.deltaHitRate =
+            ratio(out.stats.deltaHits, out.stats.deltaAttempts);
+        p.deltaHits = out.stats.deltaHits;
+        p.deltaFallbacks = out.stats.deltaFallbacks;
+        network_split.push_back(p);
+        std::cout << "    " << t << " thread(s) per layer budget: "
+                  << p.wallMs << " ms, best EDP " << p.bestEdp
+                  << (p.parity ? "" : "  [PARITY BROKEN]") << "\n";
+    }
 
     // Memo accounting: each distinct numeric shape must have been
     // searched exactly once (memoized layers == duplicates).
@@ -291,6 +331,7 @@ main(int argc, char **argv)
     emitSeries(json, "genetic", genetic, true);
     emitSeries(json, "local", local, true);
     emitSeries(json, "network", network, true);
+    emitSeries(json, "network_layer_threads", network_split, true);
     json << "  \"exhaustive_speedup_2t\": " << exhaustive[2].speedup
          << ",\n  \"exhaustive_speedup_4t\": "
          << exhaustive[3].speedup

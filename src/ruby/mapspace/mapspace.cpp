@@ -106,6 +106,13 @@ Mapspace::slotImperfect(int slot) const
 void
 DivisorLists::addDim(std::uint64_t size)
 {
+    // A dimension of an earlier one's size reaches the same counts:
+    // it reuses that dimension's lists and ids.
+    for (const Dim &earlier : dims_)
+        if (earlier.size == size) {
+            dims_.push_back(earlier);
+            return;
+        }
     Dim dim;
     dim.size = size;
     while ((dim.split + 1) * (dim.split + 1) <= size)

@@ -129,7 +129,8 @@ class DivisorLists
     };
 
     /** Add the lists of the next dimension (ids 0, 1, ... in call
-     *  order), of size @p size >= 1. */
+     *  order), of size @p size >= 1. A dimension whose size equals
+     *  an earlier one's shares that dimension's lists and ids. */
     void addDim(std::uint64_t size);
 
     /**

@@ -165,7 +165,11 @@ makeCancelSkipped(const Layer &layer)
  * cross-sweep LayerMemo. Only configurations that reproduce the same
  * outcome on every run qualify: no wall-clock budgets (shares are
  * scheduling-dependent) and no fault injection. Every strategy is
- * deterministic for any fixed option set, which the key encodes.
+ * deterministic for any fixed option set, which the key encodes,
+ * with one exception: an optimal search that stops at its
+ * evaluation cap before certifying may answer differently from run
+ * to run at more than one thread. Only certified optimal answers
+ * are the same at any thread count.
  */
 bool
 layerMemoEligible(const SearchOptions &options)
@@ -402,13 +406,19 @@ searchNetwork(const std::vector<Layer> &layers, const ArchSpec &arch,
     if (layers.empty())
         return net;
 
-    unsigned net_threads = options.networkThreads;
-    if (net_threads == 0) {
-        const unsigned hw = std::thread::hardware_concurrency();
-        net_threads = hw != 0 ? hw : 1;
-    }
-    if (net_threads > kMaxParallelism)
-        net_threads = kMaxParallelism;
+    // The sweep's thread budget is networkThreads x threads, each
+    // factor resolved first (0 = one per hardware thread).
+    const auto resolve = [](unsigned n) -> std::uint64_t {
+        if (n == 0) {
+            const unsigned hw = std::thread::hardware_concurrency();
+            n = hw != 0 ? hw : 1;
+        }
+        return std::min(n, kMaxParallelism);
+    };
+    const std::uint64_t budget =
+        std::min<std::uint64_t>(resolve(options.networkThreads) *
+                                    resolve(options.threads),
+                                kMaxParallelism);
 
     // Memo plan: the first layer with a given numeric shape is the
     // primary and is searched; later identical shapes replicate its
@@ -432,8 +442,20 @@ searchNetwork(const std::vector<Layer> &layers, const ArchSpec &arch,
             primaries.push_back(i);
     }
 
+    // Layers fill the budget before any one layer splits: workers
+    // sharing one layer's search share its blocks and hand off its
+    // commits, which costs CPU that independent layer searches do not
+    // pay, and every answer except a capped optimal search's is the
+    // same at any thread count. So `workers` layer searches run at
+    // once, each on budget / workers threads; a one-layer sweep still
+    // gives its layer the whole budget.
+    const auto workers = static_cast<unsigned>(
+        std::min<std::uint64_t>(budget, primaries.size()));
+    const auto layer_threads =
+        static_cast<unsigned>(budget / workers);
+
     BudgetLedger ledger(options.networkTimeBudget, primaries.size(),
-                        net_threads);
+                        workers);
     // Tracks which primaries actually ran a search (vs. were skipped
     // on an exhausted budget): duplicates of a skipped primary are
     // skipped in their own right, not "memoized" from nothing.
@@ -451,6 +473,7 @@ searchNetwork(const std::vector<Layer> &layers, const ArchSpec &arch,
             return;
         }
         SearchOptions layer_opts = options;
+        layer_opts.threads = layer_threads;
         const auto share = ledger.grant();
         if (ledger.armed()) {
             if (share.count() <= 0) {
@@ -515,8 +538,6 @@ searchNetwork(const std::vector<Layer> &layers, const ArchSpec &arch,
     // fault injector are the only shared mutable state, and both are
     // internally synchronized. searchLayer converts every recoverable
     // failure into a structured outcome, so jobs do not throw.
-    const auto workers = static_cast<unsigned>(
-        std::min<std::size_t>(net_threads, primaries.size()));
     if (workers <= 1) {
         for (const std::size_t i : primaries)
             runLayer(i);

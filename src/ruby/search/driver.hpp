@@ -191,10 +191,17 @@ LayerOutcome searchLayer(const Problem &problem, const ArchSpec &arch,
  * Search every layer of a network and aggregate. A failing layer is
  * recorded and skipped in the totals; the sweep always continues.
  *
- * options.networkThreads layer searches run concurrently; per-layer
- * results are deterministic regardless (each layer's search options
- * do not depend on the execution order, except for time shares under
- * a finite budget, which are inherently wall-clock-dependent).
+ * The sweep's thread budget W is options.networkThreads x
+ * options.threads (each 0 = one per hardware thread; W capped at
+ * 4096). Layers fill it before any one layer splits: C = min(W,
+ * layers to search) layer searches run concurrently, each on W / C
+ * threads, so a one-layer sweep still searches on all W. Per-layer
+ * answers are the same for any split (each layer's search options do
+ * not depend on the execution order, except for time shares under a
+ * finite budget, which are inherently wall-clock-dependent, and an
+ * optimal search stopped by its evaluation cap, whose answer is
+ * thread-invariant only once certified). Random search's per-layer
+ * bound-pruned/modeled split may move with the per-layer threads.
  *
  * options.networkTimeBudget bounds the whole sweep through a budget
  * ledger: each layer's share is computed from a fresh monotonic clock

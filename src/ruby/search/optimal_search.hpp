@@ -83,8 +83,12 @@ struct OptimalOptions
      * thread). Workers pop the globally cheapest open node from a
      * shared queue and split large leaf blocks, so subtree stealing
      * is implicit; the strict incumbent predicate plus the
-     * (objective, index) reduction keep the best mapping bit-identical
-     * across thread counts.
+     * (objective, index) reduction keep a certified best mapping
+     * bit-identical across thread counts. A run stopped by its
+     * evaluation cap is not thread-invariant: which leaves the cap
+     * reaches depends on the workers' interleaving, so its best
+     * mapping and `evaluated` may differ from run to run above one
+     * thread.
      */
     unsigned threads = 1;
 

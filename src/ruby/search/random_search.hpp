@@ -64,7 +64,9 @@ struct SearchOptions
 
     /**
      * Worker threads (the paper uses 24). 0 selects
-     * std::thread::hardware_concurrency(). Capped at 4096.
+     * std::thread::hardware_concurrency(). Capped at 4096. Inside
+     * searchNetwork() this is one factor of the sweep's thread
+     * budget (see networkThreads).
      */
     unsigned threads = 1;
 
@@ -134,10 +136,12 @@ struct SearchOptions
     unsigned islands = 1;
 
     /**
-     * Concurrent layer searches inside searchNetwork() (0 = one per
-     * hardware thread). Composes with per-search threads: total
-     * workers is roughly networkThreads x threads, so keep one of the
-     * two at 1. Ignored by the single-layer entry points.
+     * searchNetwork()'s other budget factor (0 = one per hardware
+     * thread). The sweep's thread budget W is networkThreads x
+     * threads, capped at 4096. Layers fill it first: min(W, distinct
+     * layers) layer searches run at once, each on W / that many
+     * threads, so the two factors are interchangeable. Ignored by
+     * the single-layer entry points.
      */
     unsigned networkThreads = 1;
 

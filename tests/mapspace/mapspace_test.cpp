@@ -361,5 +361,35 @@ TEST(DivisorLists, EntriesAreExactAndLinked)
     }
 }
 
+/**
+ * Equal sizes share one list set (a conv's P == Q, R == S): a repeated
+ * size maps every count to the earlier dimension's id, so the same
+ * entries, and adds no list, so a later new size gets the ids it
+ * would get without the repeats.
+ */
+TEST(DivisorLists, EqualSizesShareOneListSet)
+{
+    const std::uint64_t sizes[] = {56, 3, 56, 3, 97};
+    DivisorLists shared;
+    for (const std::uint64_t size : sizes)
+        shared.addDim(size);
+    DivisorLists distinct;
+    for (const std::uint64_t size : {56, 3, 97})
+        distinct.addDim(size);
+    // Dimensions 2 and 3 repeat dimensions 0 and 1.
+    for (DimId d = 2; d <= 3; ++d) {
+        const std::uint64_t size = sizes[d];
+        for (std::uint64_t k = 1; k <= size; ++k) {
+            const std::uint64_t m = ceilDiv(size, k);
+            EXPECT_EQ(shared.id(d, m), shared.id(d - 2, m))
+                << "size " << size << ": m " << m;
+        }
+    }
+    for (std::uint64_t k = 1; k <= 97; ++k) {
+        const std::uint64_t m = ceilDiv(97, k);
+        EXPECT_EQ(shared.id(4, m), distinct.id(2, m)) << "m " << m;
+    }
+}
+
 } // namespace
 } // namespace ruby

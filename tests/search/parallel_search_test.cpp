@@ -271,34 +271,86 @@ distinctNetwork()
     return layers;
 }
 
+/**
+ * A sweep's answer does not depend on how its thread budget
+ * networkThreads x threads is split: layers fill the budget first,
+ * and every strategy's answer is the same at any per-layer thread
+ * count. Where each layer gets one thread (no more budget than
+ * distinct layers), random search's counters are the one-thread ones
+ * too.
+ */
 TEST(ParallelSearch, NetworkParityAcrossNetworkThreadCounts)
 {
-    const ArchSpec arch = makeEyeriss();
-    SearchOptions opts;
-    opts.maxEvaluations = 1500;
-    opts.terminationStreak = 0;
-    opts.networkThreads = 1;
+    struct Preset
+    {
+        const char *name;
+        ArchSpec arch;
+        ConstraintPreset preset;
+    };
+    const Preset presets[] = {
+        {"eyeriss", makeEyeriss(), ConstraintPreset::EyerissRS},
+        {"simba", makeSimba(), ConstraintPreset::Simba},
+    };
+    // (networkThreads, threads); the first is the reference.
+    const std::pair<unsigned, unsigned> budgets[] = {
+        {1, 1}, {2, 1}, {1, 2}, {4, 1}, {2, 2}};
+    const std::vector<Layer> layers = distinctNetwork();
 
-    const NetworkOutcome a =
-        searchNetwork(distinctNetwork(), arch,
-                      ConstraintPreset::EyerissRS,
-                      MapspaceVariant::RubyS, opts);
-    opts.networkThreads = 4;
-    const NetworkOutcome b =
-        searchNetwork(distinctNetwork(), arch,
-                      ConstraintPreset::EyerissRS,
-                      MapspaceVariant::RubyS, opts);
-
-    ASSERT_EQ(a.layers.size(), b.layers.size());
-    for (std::size_t i = 0; i < a.layers.size(); ++i) {
-        EXPECT_EQ(a.layers[i].found, b.layers[i].found);
-        EXPECT_EQ(a.layers[i].evaluated, b.layers[i].evaluated);
-        EXPECT_EQ(a.layers[i].result.edp, b.layers[i].result.edp);
-        EXPECT_EQ(a.layers[i].bestMapping, b.layers[i].bestMapping);
+    for (const Preset &p : presets) {
+        for (const SearchStrategy strategy :
+             {SearchStrategy::Random, SearchStrategy::Genetic,
+              SearchStrategy::Local, SearchStrategy::Exhaustive}) {
+            SearchOptions opts;
+            opts.strategy = strategy;
+            opts.maxEvaluations = 1500;
+            opts.terminationStreak = 0;
+            opts.restarts = 2;
+            NetworkOutcome reference;
+            for (const auto &[net_threads, threads] : budgets) {
+                SCOPED_TRACE(testing::Message()
+                             << p.name << " strategy "
+                             << static_cast<int>(strategy)
+                             << " networkThreads " << net_threads
+                             << " threads " << threads);
+                opts.networkThreads = net_threads;
+                opts.threads = threads;
+                const NetworkOutcome b = searchNetwork(
+                    layers, p.arch, p.preset, MapspaceVariant::RubyS,
+                    opts);
+                if (net_threads * threads == 1) {
+                    reference = b;
+                    continue;
+                }
+                const NetworkOutcome &a = reference;
+                const bool one_thread_layers =
+                    net_threads * threads <= layers.size();
+                ASSERT_EQ(a.layers.size(), b.layers.size());
+                for (std::size_t i = 0; i < a.layers.size(); ++i) {
+                    const LayerOutcome &x = a.layers[i];
+                    const LayerOutcome &y = b.layers[i];
+                    EXPECT_EQ(x.found, y.found) << x.name;
+                    EXPECT_EQ(x.evaluated, y.evaluated) << x.name;
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(x.result.edp),
+                              std::bit_cast<std::uint64_t>(y.result.edp))
+                        << x.name;
+                    EXPECT_EQ(x.bestMapping, y.bestMapping) << x.name;
+                    if (strategy == SearchStrategy::Random &&
+                        one_thread_layers) {
+                        EXPECT_EQ(x.stats.invalid, y.stats.invalid);
+                        EXPECT_EQ(x.stats.prunedBound,
+                                  y.stats.prunedBound);
+                        EXPECT_EQ(x.stats.modeled, y.stats.modeled);
+                    }
+                }
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(a.totalEnergy),
+                          std::bit_cast<std::uint64_t>(b.totalEnergy));
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(a.totalCycles),
+                          std::bit_cast<std::uint64_t>(b.totalCycles));
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(a.edp),
+                          std::bit_cast<std::uint64_t>(b.edp));
+            }
+        }
     }
-    EXPECT_EQ(a.totalEnergy, b.totalEnergy);
-    EXPECT_EQ(a.totalCycles, b.totalCycles);
-    EXPECT_EQ(a.edp, b.edp);
 }
 
 /** Four layers where the first and third share one numeric shape. */

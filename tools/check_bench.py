@@ -111,6 +111,17 @@ def check_search_scaling(gate, data):
         data["memo_each_shape_searched_once"],
         "ResNet memo: each distinct shape searched exactly once",
     )
+    # One network budget, either factor: (threads t, networkThreads 1)
+    # searches the same layers on the same per-layer threads as
+    # (threads 1, networkThreads t), so the EDP must be identical.
+    for split in data["network_layer_threads"]:
+        t = split["threads"]
+        twin = point(data["network"], t)
+        gate.check(
+            twin is not None and split["best_edp"] == twin["best_edp"],
+            f"network: EDP at threads {t}, networkThreads 1 equals"
+            f" threads 1, networkThreads {t}",
+        )
     for name in ("genetic", "local", "network"):
         pt = point(data[name], 1)
         gate.check(

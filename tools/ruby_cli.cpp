@@ -28,9 +28,11 @@
  * `net` suites: resnet50 | deepbench | alexnet; --arch eyeriss|simba
  * picks the preset architecture (Eyeriss-like by default); takes the
  * same search overrides plus --network-budget MS (wall-clock cap for
- * the whole sweep, split across layers), --net-threads N (concurrent
- * layer searches) and --[no-]layer-memo (search each distinct layer
- * shape once; on by default). Failed layers are reported in the
+ * the whole sweep, split across layers), --net-threads N (with
+ * --threads, the sweep's thread budget --net-threads x --threads,
+ * spent on concurrent layer searches before any one layer is split)
+ * and --[no-]layer-memo (search each distinct layer shape once; on
+ * by default). Failed layers are reported in the
  * summary; the sweep never aborts the process.
  *
  * `count` options: --fanout N (default 9), --spad-words N (tile cap
@@ -144,6 +146,8 @@ usage()
            " overrides]\n"
            "          [--arch eyeriss|simba] [--network-budget MS]\n"
            "          [--net-threads N] [--[no-]layer-memo]\n"
+           "          (thread budget: --net-threads x --threads,"
+           " layers first)\n"
            "  ruby-map count <dim> [--fanout N] [--spad-words N]\n"
            "  ruby-map suites\n"
            "  ruby-map serve [--unix PATH | --host H --port N]\n"
